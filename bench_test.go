@@ -235,10 +235,8 @@ func BenchmarkStaticPaths(b *testing.B) {
 func BenchmarkConcolicRun(b *testing.B) {
 	cs := corpus.Load().Get("zk-ephemeral")
 	tk := cs.Tickets[1]
-	full := tk.FixedSource
 	tc := cs.Tests[0]
-	full += "\n" + tc.Source
-	prog, err := minij.Parse(full)
+	prog, err := minij.Parse(ticket.JoinTests(tk.FixedSource, cs.Tests[:1]))
 	if err != nil {
 		b.Fatal(err)
 	}

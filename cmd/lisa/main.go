@@ -438,7 +438,7 @@ func runAssert(args []string) error {
 		}
 		warm := []string{target}
 		if *withTests {
-			warm = append(warm, joinTests(target, cs.Tests))
+			warm = append(warm, ticket.JoinTests(target, cs.Tests))
 		}
 		results, dir, cleanup, err := spawnShards("assert", args, *shards, *storeDir, warm...)
 		if err != nil {
@@ -623,17 +623,6 @@ func resolveAssertTarget(cs *ticket.Case, sourcePath, version, id string) (strin
 	return target, nil
 }
 
-// joinTests concatenates the system source with the full test suite the
-// way core.Engine.PrepareSnapshot does, so a prewarmed snapshot's content
-// address matches what an asserting child will ask the store for.
-func joinTests(src string, tests []ticket.TestCase) string {
-	full := src
-	for _, tc := range tests {
-		full += "\n" + tc.Source
-	}
-	return full
-}
-
 func runGate(args []string) error {
 	fs := flag.NewFlagSet("gate", flag.ExitOnError)
 	caseID := fs.String("case", "", "corpus case id providing the registered rules")
@@ -682,8 +671,8 @@ func runGate(args []string) error {
 			return fmt.Errorf("unknown case %q", *caseID)
 		}
 		warm := []string{
-			cs.Head(), joinTests(cs.Head(), cs.Tests),
-			string(data), joinTests(string(data), cs.Tests),
+			cs.Head(), ticket.JoinTests(cs.Head(), cs.Tests),
+			string(data), ticket.JoinTests(string(data), cs.Tests),
 		}
 		results, dir, cleanup, serr := spawnShards("gate", args, *shards, *storeDir, warm...)
 		if serr != nil {

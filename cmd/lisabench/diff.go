@@ -19,12 +19,13 @@ import (
 // The perf-regression gate compares a fresh full-sweep snapshot against a
 // committed BENCH_*.json baseline and fails on growth in the tracked
 // *cost counters* of the hot paths: solver work (queries, searches, search
-// nodes) and snapshot front-end work (compiles, call-graph builds), which
-// between them account for the scheduled-assert cost the benchmarks track.
-// Counters are compared rather than wall clocks because they are exactly
-// reproducible run to run (the sweep is deterministic), so the gate never
-// flakes on machine load; wall clocks and hit rates are printed for
-// context but do not gate.
+// nodes), snapshot front-end work (compiles, call-graph builds), and the
+// heap the sweep allocates, which between them account for the
+// scheduled-assert cost the benchmarks track. Counters are compared rather
+// than wall clocks because they reproduce run to run (the sweep is
+// deterministic; heap bytes vary by a few percent, far inside the
+// threshold), so the gate never flakes on machine load; wall clocks and
+// hit rates are printed for context but do not gate.
 const (
 	// diffGrowthFactor is the tracked-counter regression threshold: fail
 	// when fresh > base × 1.25.
@@ -34,18 +35,21 @@ const (
 	diffSlack = 32
 )
 
-// trackedCounter is one gated metric extracted from a benchOutput.
+// trackedCounter is one gated metric extracted from a benchOutput. An
+// optional counter is skipped, with a note, when the baseline predates it.
 type trackedCounter struct {
-	name string
-	get  func(benchOutput) uint64
+	name     string
+	get      func(benchOutput) uint64
+	optional bool
 }
 
 var trackedCounters = []trackedCounter{
-	{"solver.queries", func(b benchOutput) uint64 { return b.Solver.Queries }},
-	{"solver.solves", func(b benchOutput) uint64 { return b.Solver.Solves }},
-	{"solver.nodes", func(b benchOutput) uint64 { return b.Solver.Nodes }},
-	{"snapshot.compiles", func(b benchOutput) uint64 { return b.Snapshot.Compiles }},
-	{"snapshot.graph_builds", func(b benchOutput) uint64 { return b.Snapshot.GraphBuilds }},
+	{name: "solver.queries", get: func(b benchOutput) uint64 { return b.Solver.Queries }},
+	{name: "solver.solves", get: func(b benchOutput) uint64 { return b.Solver.Solves }},
+	{name: "solver.nodes", get: func(b benchOutput) uint64 { return b.Solver.Nodes }},
+	{name: "snapshot.compiles", get: func(b benchOutput) uint64 { return b.Snapshot.Compiles }},
+	{name: "snapshot.graph_builds", get: func(b benchOutput) uint64 { return b.Snapshot.GraphBuilds }},
+	{name: "sweep.heap_alloc_mb", get: func(b benchOutput) uint64 { return b.HeapAllocMB }, optional: true},
 }
 
 // runDiff executes the full experiment sweep quietly, snapshots the
@@ -64,6 +68,7 @@ func runDiff(baselinePath string, c *ticket.Corpus) int {
 	}
 
 	tm := report.NewTimings()
+	alloc0 := heapAllocBytes()
 	for _, e := range experiments.Registry {
 		tm.Time(e.Name, func() { _ = e.Run(c) })
 	}
@@ -71,6 +76,7 @@ func runDiff(baselinePath string, c *ticket.Corpus) int {
 		ExperimentsMS: map[string]float64{},
 		Snapshot:      program.Stats(),
 		Solver:        smt.Stats(),
+		HeapAllocMB:   (heapAllocBytes() - alloc0) >> 20,
 	}
 	for _, name := range tm.Names() {
 		fresh.ExperimentsMS[name] = float64(tm.Get(name)) / float64(time.Millisecond)
@@ -86,6 +92,10 @@ func diffBench(baselinePath string, base, fresh benchOutput) int {
 	fmt.Printf("  %-24s %12s %12s %8s\n", "tracked counter", "baseline", "fresh", "ratio")
 	for _, tc := range trackedCounters {
 		b, f := tc.get(base), tc.get(fresh)
+		if tc.optional && b == 0 {
+			fmt.Printf("  %-24s %12s %12d %8s  skipped: the baseline predates this counter\n", tc.name, "—", f, "—")
+			continue
+		}
 		verdict := "ok"
 		if regressedCounter(b, f) {
 			verdict = "REGRESSION"

@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/metrics"
 	"time"
 
 	"lisa/internal/corpus"
@@ -43,7 +44,10 @@ type benchOutput struct {
 	ExperimentsMS map[string]float64 `json:"experiments_ms"`
 	Snapshot      program.CacheStats `json:"snapshot_cache"`
 	Solver        smt.SolverStats    `json:"solver"`
-	Benchmarks    map[string]string  `json:"benchmarks,omitempty"`
+	// HeapAllocMB is the heap the run allocated, in MiB (baselines
+	// before BENCH_13.json lack it).
+	HeapAllocMB uint64            `json:"heap_alloc_mb,omitempty"`
+	Benchmarks  map[string]string `json:"benchmarks,omitempty"`
 }
 
 func main() {
@@ -87,6 +91,7 @@ func main() {
 		}
 		return
 	}
+	alloc0 := heapAllocBytes()
 	if *exp == "all" {
 		// Drive the registry directly so each experiment's wall clock is
 		// recorded; the output matches experiments.Run("all", c).
@@ -115,7 +120,7 @@ func main() {
 			fmt.Print(solverLine(ss))
 		}
 		if *jsonPath != "" {
-			writeJSON(*jsonPath, tm)
+			writeJSON(*jsonPath, tm, heapAllocBytes()-alloc0)
 		}
 		return
 	}
@@ -129,7 +134,7 @@ func main() {
 	}
 	fmt.Print(out)
 	if *jsonPath != "" {
-		writeJSON(*jsonPath, tm)
+		writeJSON(*jsonPath, tm, heapAllocBytes()-alloc0)
 	}
 }
 
@@ -140,12 +145,20 @@ func solverLine(ss smt.SolverStats) string {
 		ss.Queries, ss.CacheHits, ss.CacheMisses, ss.CacheEvictions, ss.Solves, ss.Nodes)
 }
 
+// heapAllocBytes reads the process's cumulative heap allocation.
+func heapAllocBytes() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
 // writeJSON dumps the run's summary numbers for the perf trajectory.
-func writeJSON(path string, tm *report.Timings) {
+func writeJSON(path string, tm *report.Timings, allocated uint64) {
 	out := benchOutput{
 		ExperimentsMS: map[string]float64{},
 		Snapshot:      program.Stats(),
 		Solver:        smt.Stats(),
+		HeapAllocMB:   allocated >> 20,
 	}
 	for _, name := range tm.Names() {
 		out.ExperimentsMS[name] = float64(tm.Get(name)) / float64(time.Millisecond)

@@ -227,18 +227,31 @@ func (g *Graph) ExecutionTree(target *minij.Method, opts TreeOptions) *Tree {
 		}
 	}
 	walk(target, nil, 0)
-	sort.Slice(tree.Paths, func(i, j int) bool {
-		return pathLess(tree.Paths[i], tree.Paths[j], target)
-	})
+	keys := make([]string, len(tree.Paths))
+	for i, p := range tree.Paths {
+		keys[i] = p.String()
+	}
+	sort.Sort(pathOrder{tree.Paths, keys})
 	return tree
 }
 
-func pathLess(a, b Path, target *minij.Method) bool {
-	as, bs := a.String(), b.String()
-	if as != bs {
-		return as < bs
+// pathOrder sorts paths by rendering (keys[i] is paths[i].String(), built
+// once rather than per comparison), then by length.
+type pathOrder struct {
+	paths []Path
+	keys  []string
+}
+
+func (o pathOrder) Len() int { return len(o.paths) }
+func (o pathOrder) Less(i, j int) bool {
+	if o.keys[i] != o.keys[j] {
+		return o.keys[i] < o.keys[j]
 	}
-	return len(a) < len(b)
+	return len(o.paths[i]) < len(o.paths[j])
+}
+func (o pathOrder) Swap(i, j int) {
+	o.paths[i], o.paths[j] = o.paths[j], o.paths[i]
+	o.keys[i], o.keys[j] = o.keys[j], o.keys[i]
 }
 
 // MethodsOnPath returns the ordered methods traversed by a path ending at

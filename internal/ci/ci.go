@@ -224,14 +224,17 @@ func GateWith(engine *core.Engine, ch Change, tests []ticket.TestCase, opts Gate
 
 // inconclusiveDetail renders why a semantic's assertion degraded, in
 // deterministic order: contained job failures first (job order), then the
-// count of budget-starved path checks.
+// count of budget-starved path checks, then the count of bounded sites.
 func inconclusiveDetail(sr *core.SemanticReport) string {
 	var parts []string
 	for _, f := range sr.Failures {
 		parts = append(parts, fmt.Sprintf("job %s failed (%s: %s)", f.Job, f.Reason, f.Detail))
 	}
-	starved := 0
+	starved, bounded := 0, 0
 	for _, site := range sr.Sites {
+		if site.TreeTruncated {
+			bounded++
+		}
 		for _, p := range site.Paths {
 			if p.Verdict == concolic.VerdictInconclusive {
 				starved++
@@ -240,6 +243,9 @@ func inconclusiveDetail(sr *core.SemanticReport) string {
 	}
 	if starved > 0 {
 		parts = append(parts, fmt.Sprintf("%d path check(s) exhausted the solver budget", starved))
+	}
+	if bounded > 0 {
+		parts = append(parts, fmt.Sprintf("bounded: %d site(s) hit a path or call-chain bound, so some paths went unchecked", bounded))
 	}
 	if len(parts) == 0 {
 		parts = append(parts, "dynamic verdicts degraded")

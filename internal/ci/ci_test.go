@@ -346,3 +346,30 @@ func TestSummaryGolden(t *testing.T) {
 		t.Errorf("broken-build summary mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, wantBroken)
 	}
 }
+
+// TestGateBoundedSiteFollowsInconclusivePolicy: a site whose exploration
+// hit a bound leaves its semantic INCONCLUSIVE, so the gate blocks it
+// fail-closed and warns fail-open, naming the bound.
+func TestGateBoundedSiteFollowsInconclusivePolicy(t *testing.T) {
+	halfGuarded := strings.Replace(sysFixed, `	void processCreate(string path, Session s) {
+		if (s == null || s.closing) {
+			throw "KeeperException";
+		}`, `	void processCreate(string path, Session s, bool checked) {
+		if (checked) {
+			if (s == null || s.closing) {
+				throw "KeeperException";
+			}
+		}`, 1)
+	for _, failOpen := range []bool{false, true} {
+		e := engineWithRule(t)
+		e.MaxStaticPaths = 1
+		res, err := GateWith(e, Change{NewSource: halfGuarded}, nil, GateOptions{FailOpen: failOpen})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := res.Summary()
+		if res.Pass != failOpen || !strings.Contains(sum, "INCONCLUSIVE") || !strings.Contains(sum, "bounded: 1 site(s)") {
+			t.Errorf("fail-open=%v: pass=%v\n%s", failOpen, res.Pass, sum)
+		}
+	}
+}

@@ -81,7 +81,7 @@ func stmtOfCall(prog *minij.Program, m *minij.Method, call *minij.Call) minij.St
 	inner := found
 	minij.WalkStmts(found, func(s minij.Stmt) {
 		owns := false
-		for _, c := range ownCalls(s) {
+		for _, c := range minij.DirectCalls(s) {
 			if c == call {
 				owns = true
 			}
@@ -91,62 +91,6 @@ func stmtOfCall(prog *minij.Program, m *minij.Method, call *minij.Call) minij.St
 		}
 	})
 	return inner
-}
-
-// ownCalls lists calls belonging to the statement itself (mirrors
-// contract's immediate-call notion without exporting it).
-func ownCalls(s minij.Stmt) []*minij.Call {
-	var out []*minij.Call
-	var fromExpr func(e minij.Expr)
-	fromExpr = func(e minij.Expr) {
-		switch n := e.(type) {
-		case *minij.Call:
-			out = append(out, n)
-			if n.Recv != nil {
-				fromExpr(n.Recv)
-			}
-			for _, a := range n.Args {
-				fromExpr(a)
-			}
-		case *minij.FieldAccess:
-			fromExpr(n.Recv)
-		case *minij.New:
-			for _, a := range n.Args {
-				fromExpr(a)
-			}
-		case *minij.Unary:
-			fromExpr(n.X)
-		case *minij.Binary:
-			fromExpr(n.X)
-			fromExpr(n.Y)
-		}
-	}
-	switch n := s.(type) {
-	case *minij.VarDecl:
-		if n.Init != nil {
-			fromExpr(n.Init)
-		}
-	case *minij.Assign:
-		fromExpr(n.Target)
-		fromExpr(n.Value)
-	case *minij.If:
-		fromExpr(n.Cond)
-	case *minij.While:
-		fromExpr(n.Cond)
-	case *minij.ForEach:
-		fromExpr(n.Iter)
-	case *minij.Return:
-		if n.Value != nil {
-			fromExpr(n.Value)
-		}
-	case *minij.Throw:
-		fromExpr(n.Value)
-	case *minij.Sync:
-		fromExpr(n.Lock)
-	case *minij.ExprStmt:
-		fromExpr(n.E)
-	}
-	return out
 }
 
 // inheritFrame builds the callee's seed state from a caller state at a call
@@ -166,15 +110,15 @@ func inheritFrame(prog *minij.Program, caller *sframe, callee *minij.Method, cal
 			} else if t.isConst {
 				// A constant argument becomes a known constant of the
 				// parameter (normalization across the call boundary).
-				child.consts[p.Name] = t.c
-				child.assigned[p.Name] = true
+				child.setConst(p.Name, t.c)
+				child.markAssigned(p.Name)
 			}
 		}
 	}
 	// Carry renamed constants (caller facts about argument state).
 	for path, c := range caller.consts {
 		if renamed, ok := renamePath(path, renames); ok {
-			child.consts[renamed] = c
+			child.setConst(renamed, c)
 		}
 	}
 	// Carry conditions whose every root renames into parameter vocabulary.

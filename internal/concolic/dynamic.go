@@ -164,8 +164,8 @@ func (r *Runner) install() {
 						if t.isPath {
 							renames[t.path] = p.Name
 						} else if t.isConst {
-							child.env.consts[p.Name] = t.c
-							child.env.assigned[p.Name] = true
+							child.env.setConst(p.Name, t.c)
+							child.env.markAssigned(p.Name)
 						}
 					}
 				}
@@ -183,7 +183,7 @@ func (r *Runner) install() {
 				}
 				for path, c := range caller.env.consts {
 					if rp, ok := renamePath(path, renames); ok {
-						child.env.consts[rp] = c
+						child.env.setConst(rp, c)
 					}
 				}
 			}

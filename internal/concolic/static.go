@@ -3,6 +3,7 @@ package concolic
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -267,14 +268,79 @@ func constFacts(st *sframe, relevant map[string]bool) []smt.Formula {
 	return out
 }
 
-// sframe is the symbolic state of one enumeration branch.
+// sframe is the symbolic state of one enumeration branch. Frames are
+// copy-on-write: clone shares every map and the condition prefix with the
+// new frame, and a frame copies a map only when it first writes it while
+// shared, so a branch that records a guard and nothing else copies nothing.
+// A nil map reads as empty and is allocated on first write. Every map
+// write goes through the setters below (and invalidate).
 type sframe struct {
 	prog     *minij.Program
 	aliases  map[string]string
 	consts   map[string]ConstVal
 	versions map[string]int
 	assigned map[string]bool
-	conds    []recordedCond
+	// shared flags the maps that another frame may also hold.
+	shared uint8
+	// conds is the recorded condition prefix. Frames share its backing
+	// array; only the frame whose slice has spare capacity may append in
+	// place, and clone hands that right to the new frame (see clone).
+	conds []recordedCond
+}
+
+// Bits of sframe.shared.
+const (
+	sharedAliases uint8 = 1 << iota
+	sharedConsts
+	sharedVersions
+	sharedAssigned
+	sharedAll = sharedAliases | sharedConsts | sharedVersions | sharedAssigned
+)
+
+// owned returns a map st may write in place of m: m itself when st owns
+// it, else a private copy (or a new map for a nil one), clearing bit.
+func owned[V any](st *sframe, m map[string]V, bit uint8) map[string]V {
+	switch {
+	case m == nil:
+		m = map[string]V{}
+	case st.shared&bit != 0:
+		m = maps.Clone(m)
+	}
+	st.shared &^= bit
+	return m
+}
+
+func (st *sframe) setAlias(name, path string) {
+	st.aliases = owned(st, st.aliases, sharedAliases)
+	st.aliases[name] = path
+}
+
+func (st *sframe) dropAlias(name string) {
+	if _, ok := st.aliases[name]; ok {
+		st.aliases = owned(st, st.aliases, sharedAliases)
+		delete(st.aliases, name)
+	}
+}
+
+func (st *sframe) setConst(path string, c ConstVal) {
+	st.consts = owned(st, st.consts, sharedConsts)
+	st.consts[path] = c
+}
+
+func (st *sframe) bumpVersion(name string) {
+	st.versions = owned(st, st.versions, sharedVersions)
+	st.versions[name]++
+}
+
+// markAssigned records an assignment to name and reports whether it was
+// the first.
+func (st *sframe) markAssigned(name string) bool {
+	if st.assigned[name] {
+		return false
+	}
+	st.assigned = owned(st, st.assigned, sharedAssigned)
+	st.assigned[name] = true
+	return true
 }
 
 type recordedCond struct {
@@ -311,39 +377,18 @@ func condRoots(f smt.Formula) []string {
 	return roots
 }
 
-func newSFrame(prog *minij.Program) *sframe {
-	return &sframe{
-		prog:     prog,
-		aliases:  map[string]string{},
-		consts:   map[string]ConstVal{},
-		versions: map[string]int{},
-		assigned: map[string]bool{},
-	}
-}
+func newSFrame(prog *minij.Program) *sframe { return &sframe{prog: prog} }
 
+// clone forks st. The two frames share every map until one writes it. The
+// new frame also takes over st's right to append to the shared condition
+// array in place, and st's slice is clipped to its length, so when st later
+// appends (or is cloned again) it reallocates rather than overwrite the
+// elements the new frame appends.
 func (st *sframe) clone() *sframe {
-	c := &sframe{
-		prog:     st.prog,
-		aliases:  make(map[string]string, len(st.aliases)),
-		consts:   make(map[string]ConstVal, len(st.consts)),
-		versions: make(map[string]int, len(st.versions)),
-		assigned: make(map[string]bool, len(st.assigned)),
-		conds:    make([]recordedCond, len(st.conds)),
-	}
-	for k, v := range st.aliases {
-		c.aliases[k] = v
-	}
-	for k, v := range st.consts {
-		c.consts[k] = v
-	}
-	for k, v := range st.versions {
-		c.versions[k] = v
-	}
-	for k, v := range st.assigned {
-		c.assigned[k] = v
-	}
-	copy(c.conds, st.conds)
-	return c
+	st.shared = sharedAll
+	c := *st
+	st.conds = st.conds[:len(st.conds):len(st.conds)]
+	return &c
 }
 
 // PathOf implements Env: locals resolve through aliases and versioning;
@@ -370,23 +415,22 @@ func (st *sframe) Program() *minij.Program { return st.prog }
 // store records the effect of an assignment to name (a bare identifier).
 func (st *sframe) store(name string, value minij.Expr) {
 	// Invalidate previous knowledge about the old path of this name.
-	delete(st.aliases, name)
+	st.dropAlias(name)
 	cur, _ := st.PathOf(name)
 	st.invalidate(cur)
-	first := !st.assigned[name]
-	st.assigned[name] = true
+	first := st.markAssigned(name)
 	if c, ok := LiteralConst(value); ok {
-		st.consts[cur] = c
+		st.setConst(cur, c)
 		return
 	}
 	if t, ok := translateTerm(value, st); ok && t.isPath {
-		st.aliases[name] = t.path
+		st.setAlias(name, t.path)
 		return
 	}
 	// Opaque: the first binding keeps the bare name as its root; a
 	// rebinding bumps the version so stale atoms do not conflate values.
 	if !first {
-		st.versions[name]++
+		st.bumpVersion(name)
 	}
 }
 
@@ -394,16 +438,28 @@ func (st *sframe) store(name string, value minij.Expr) {
 func (st *sframe) storePath(path string, value minij.Expr) {
 	st.invalidate(path)
 	if c, ok := LiteralConst(value); ok {
-		st.consts[path] = c
+		st.setConst(path, c)
 	}
 }
 
 // invalidate forgets constants for path and everything below it.
 func (st *sframe) invalidate(path string) {
-	delete(st.consts, path)
-	prefix := path + "."
+	below := func(k string) bool {
+		return len(k) > len(path) && k[len(path)] == '.' && strings.HasPrefix(k, path)
+	}
+	hit := false
 	for k := range st.consts {
-		if strings.HasPrefix(k, prefix) {
+		if k == path || below(k) {
+			hit = true
+			break
+		}
+	}
+	if !hit {
+		return
+	}
+	st.consts = owned(st, st.consts, sharedConsts)
+	for k := range st.consts {
+		if k == path || below(k) {
 			delete(st.consts, k)
 		}
 	}
@@ -667,11 +723,10 @@ func (w *staticWalker) walkSeq(stmts []minij.Stmt, i int, st *sframe, ctx walkCt
 		next(st.clone())
 		// ...or take one iteration with an opaque element binding.
 		st2 := st.clone()
-		if st2.assigned[n.Var] {
-			st2.versions[n.Var]++
+		if !st2.markAssigned(n.Var) {
+			st2.bumpVersion(n.Var)
 		}
-		st2.assigned[n.Var] = true
-		delete(st2.aliases, n.Var)
+		st2.dropAlias(n.Var)
 		w.walkSeq(n.Body.Stmts, 0, st2, walkCtx{loopExit: next, handlers: ctx.handlers}, next)
 	case *minij.Return:
 		// The path leaves the method without reaching the target: drop.

@@ -189,139 +189,67 @@ func ExprPath(e minij.Expr) (string, bool) {
 // must be resolved. Matching keys on the callee's qualified name (receiver
 // static type for instance calls, class name for static calls), so renamed
 // locals and new call paths still match — this is what lets a rule inferred
-// from one fix catch the same mistake on a different path.
+// from one fix catch the same mistake on a different path. Matching reads
+// the program's callee index (minij.Program.CallSites), built once per
+// program and shared by every semantic.
 func Match(sem *Semantic, prog *minij.Program) []*Site {
 	if sem.Kind != StateKind {
 		return nil
 	}
 	var sites []*Site
-	for _, m := range prog.Methods() {
-		if sem.Target.Within != "" && m.FullName() != sem.Target.Within {
+	var names []string // sites[i].Method.FullName(), rendered once
+	for _, cs := range prog.CallSites(sem.Target.Callee) {
+		name := cs.Method.FullName()
+		if sem.Target.Within != "" && name != sem.Target.Within {
 			continue
 		}
-		minij.WalkStmts(m.Body, func(s minij.Stmt) {
-			for _, call := range immediateCalls(s) {
-				if CalleeName(prog, m, call) != sem.Target.Callee {
-					continue
-				}
-				site := &Site{
-					Semantic: sem,
-					Stmt:     s,
-					Call:     call,
-					Method:   m,
-					Bindings: map[string]minij.Expr{},
-				}
-				for slot, idx := range sem.Target.Bind {
-					var operand minij.Expr
-					switch {
-					case idx == ReceiverSlot:
-						operand = call.Recv
-					case idx >= 0 && idx < len(call.Args):
-						operand = call.Args[idx]
-					}
-					if operand == nil {
-						site.BindErr = fmt.Errorf("contract %s: slot %q binds operand %d of %s, which does not exist",
-							sem.ID, slot, idx, minij.CanonExpr(call))
-						continue
-					}
-					site.Bindings[slot] = operand
-				}
-				sites = append(sites, site)
-			}
-		})
-	}
-	sort.Slice(sites, func(i, j int) bool {
-		if sites[i].Method.FullName() != sites[j].Method.FullName() {
-			return sites[i].Method.FullName() < sites[j].Method.FullName()
+		site := &Site{
+			Semantic: sem,
+			Stmt:     cs.Stmt,
+			Call:     cs.Call,
+			Method:   cs.Method,
+			Bindings: make(map[string]minij.Expr, len(sem.Target.Bind)),
 		}
-		return sites[i].Stmt.Pos().Before(sites[j].Stmt.Pos())
-	})
+		for slot, idx := range sem.Target.Bind {
+			var operand minij.Expr
+			switch {
+			case idx == ReceiverSlot:
+				operand = cs.Call.Recv
+			case idx >= 0 && idx < len(cs.Call.Args):
+				operand = cs.Call.Args[idx]
+			}
+			if operand == nil {
+				site.BindErr = fmt.Errorf("contract %s: slot %q binds operand %d of %s, which does not exist",
+					sem.ID, slot, idx, minij.CanonExpr(cs.Call))
+				continue
+			}
+			site.Bindings[slot] = operand
+		}
+		sites = append(sites, site)
+		names = append(names, name)
+	}
+	// The index keeps walk order, so this sort sees the same input as a
+	// whole-program walk would give it and orders ties the same way.
+	sort.Sort(siteOrder{sites, names})
 	return sites
 }
 
-// immediateCalls returns the call expressions belonging to statement s
-// itself (not to nested statements), so a target statement is the statement
-// that directly performs the call.
-func immediateCalls(s minij.Stmt) []*minij.Call {
-	var out []*minij.Call
-	for _, e := range stmtOwnExprs(s) {
-		collectCalls(e, &out)
-	}
-	return out
+// siteOrder sorts sites by enclosing method name, then source position.
+type siteOrder struct {
+	sites []*Site
+	names []string
 }
 
-func stmtOwnExprs(s minij.Stmt) []minij.Expr {
-	switch n := s.(type) {
-	case *minij.VarDecl:
-		if n.Init != nil {
-			return []minij.Expr{n.Init}
-		}
-	case *minij.Assign:
-		return []minij.Expr{n.Target, n.Value}
-	case *minij.If:
-		return []minij.Expr{n.Cond}
-	case *minij.While:
-		return []minij.Expr{n.Cond}
-	case *minij.ForEach:
-		return []minij.Expr{n.Iter}
-	case *minij.Return:
-		if n.Value != nil {
-			return []minij.Expr{n.Value}
-		}
-	case *minij.Throw:
-		return []minij.Expr{n.Value}
-	case *minij.Sync:
-		return []minij.Expr{n.Lock}
-	case *minij.ExprStmt:
-		return []minij.Expr{n.E}
+func (o siteOrder) Len() int { return len(o.sites) }
+func (o siteOrder) Less(i, j int) bool {
+	if o.names[i] != o.names[j] {
+		return o.names[i] < o.names[j]
 	}
-	return nil
+	return o.sites[i].Stmt.Pos().Before(o.sites[j].Stmt.Pos())
 }
-
-func collectCalls(e minij.Expr, out *[]*minij.Call) {
-	switch n := e.(type) {
-	case *minij.Call:
-		*out = append(*out, n)
-		if n.Recv != nil {
-			collectCalls(n.Recv, out)
-		}
-		for _, a := range n.Args {
-			collectCalls(a, out)
-		}
-	case *minij.FieldAccess:
-		collectCalls(n.Recv, out)
-	case *minij.New:
-		for _, a := range n.Args {
-			collectCalls(a, out)
-		}
-	case *minij.Unary:
-		collectCalls(n.X, out)
-	case *minij.Binary:
-		collectCalls(n.X, out)
-		collectCalls(n.Y, out)
-	}
-}
-
-// CalleeName resolves the qualified "Class.method" name a call refers to,
-// or "" when unresolvable. caller is the enclosing method (for unqualified
-// sibling calls).
-func CalleeName(prog *minij.Program, caller *minij.Method, call *minij.Call) string {
-	switch call.Kind {
-	case minij.CallSelf:
-		return caller.Class.Name + "." + call.Name
-	case minij.CallStatic:
-		if id, ok := call.Recv.(*minij.Ident); ok {
-			return id.Name + "." + call.Name
-		}
-	case minij.CallInstance:
-		rt := prog.TypeOf(call.Recv)
-		if rt.Kind == minij.TypeObject {
-			return rt.Class + "." + call.Name
-		}
-	case minij.CallBuiltin:
-		return "builtin." + call.Name
-	}
-	return ""
+func (o siteOrder) Swap(i, j int) {
+	o.sites[i], o.sites[j] = o.sites[j], o.sites[i]
+	o.names[i], o.names[j] = o.names[j], o.names[i]
 }
 
 // SiteChecker instantiates the semantic's precondition at a site by

@@ -106,7 +106,7 @@ func (r NoNestedSync) Check(prog *minij.Program) []*StructuralViolation {
 					})
 					return
 				}
-				for _, call := range immediateCalls(inner) {
+				for _, call := range minij.DirectCalls(inner) {
 					if call.Kind == minij.CallBuiltin {
 						continue
 					}

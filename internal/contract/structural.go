@@ -140,7 +140,7 @@ func (r NoBlockingInSync) Check(prog *minij.Program) []*StructuralViolation {
 				return
 			}
 			minij.WalkStmts(sync.Body, func(inner minij.Stmt) {
-				for _, call := range immediateCalls(inner) {
+				for _, call := range minij.DirectCalls(inner) {
 					switch call.Kind {
 					case minij.CallBuiltin:
 						if minij.IsBlockingBuiltin(call.Name) {

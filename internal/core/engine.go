@@ -264,13 +264,16 @@ const (
 
 // Outcome classifies the semantic. VIOLATED when any structural finding,
 // violating static path, or dynamic postcondition violation surfaced.
-// Otherwise INCONCLUSIVE when any job failed or any verdict (static or
-// dynamic) is INCONCLUSIVE — the run degraded, so the absence of a
-// violation proves nothing. Otherwise PASS.
+// Otherwise INCONCLUSIVE when any job failed, any verdict (static or
+// dynamic) is INCONCLUSIVE, or any site is bounded (TreeTruncated: a path
+// or call-chain bound cut exploration short, so paths went unchecked) —
+// the run degraded, so the absence of a violation proves nothing.
+// Otherwise PASS.
 func (sr *SemanticReport) Outcome() string {
 	violated := len(sr.Structural) > 0
 	inconclusive := len(sr.Failures) > 0
 	for _, siteRep := range sr.Sites {
+		inconclusive = inconclusive || siteRep.TreeTruncated
 		for _, p := range siteRep.Paths {
 			switch p.Verdict {
 			case concolic.VerdictViolation:
@@ -390,8 +393,9 @@ type AssertContext struct {
 	Source string
 	Tests  []ticket.TestCase
 	// Snapshot is the system version under assertion; SnapshotAll covers
-	// system plus tests. Both are shared, content-addressed compilations —
-	// repeated runs over one version reuse them instead of re-parsing.
+	// system plus tests, linked onto Snapshot's program rather than parsed
+	// again. Both are shared, content-addressed compilations — repeated
+	// runs over one version reuse them instead of re-parsing.
 	Snapshot    *program.Snapshot
 	SnapshotAll *program.Snapshot
 	// ProgSys is the system alone (the class inventory); ProgAll is system
@@ -452,14 +456,20 @@ func (e *Engine) Prepare(source string, tests []ticket.TestCase, tm StageTimings
 // LoadSnapshot loads source through the engine's snapshot cache — the
 // private one when Snapshots is set, the process-wide cache otherwise.
 func (e *Engine) LoadSnapshot(source string) (*program.Snapshot, error) {
+	return e.snapshots().Load(source)
+}
+
+func (e *Engine) snapshots() *program.Cache {
 	if e.Snapshots != nil {
-		return e.Snapshots.Load(source)
+		return e.Snapshots
 	}
-	return program.Load(source)
+	return program.DefaultCache()
 }
 
 // PrepareSnapshot is Prepare for an already-loaded system snapshot (the CI
 // gate loads head and proposed change once and shares them across jobs).
+// Only the test text is parsed: it is linked onto snap's resolved program
+// (program.Cache.LoadWithTests).
 func (e *Engine) PrepareSnapshot(snap *program.Snapshot, tests []ticket.TestCase, tm StageTimings) (*AssertContext, error) {
 	if e.VerifySnapshots {
 		if err := snap.Verify(); err != nil {
@@ -475,11 +485,7 @@ func (e *Engine) PrepareSnapshot(snap *program.Snapshot, tests []ticket.TestCase
 			ctx.SnapshotAll = snap
 			return
 		}
-		full := snap.Source()
-		for _, tc := range tests {
-			full += "\n" + tc.Source
-		}
-		ctx.SnapshotAll, err = e.LoadSnapshot(full)
+		ctx.SnapshotAll, err = e.snapshots().LoadWithTests(snap, tests)
 		if err != nil {
 			err = fmt.Errorf("system+tests: %w", err)
 		}

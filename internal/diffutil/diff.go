@@ -7,6 +7,7 @@ package diffutil
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -54,13 +55,17 @@ func diffLines(a, b []string) []Edit {
 	}
 	// v[k] = furthest x on diagonal k; offset by maxD.
 	v := make([]int, 2*maxD+1)
+	// trace[d-1] keeps, for step d >= 1, v on diagonals -(d-1)..d-1 as
+	// step d starts: the only entries step d reads, and so the only ones
+	// backtracking through it needs. The trace grows with D^2 for an edit
+	// distance D, not with D*(n+m).
 	var trace [][]int
 	var endD int
 found:
 	for d := 0; d <= maxD; d++ {
-		vc := make([]int, len(v))
-		copy(vc, v)
-		trace = append(trace, vc)
+		if d > 0 {
+			trace = append(trace, slices.Clone(v[maxD-d+1:maxD+d]))
+		}
 		for k := -d; k <= d; k += 2 {
 			var x int
 			if k == -d || (k != d && v[maxD+k-1] < v[maxD+k+1]) {
@@ -84,17 +89,16 @@ found:
 	var rev []Edit
 	x, y := n, m
 	for d := endD; d > 0; d-- {
-		// trace[d] snapshots v at the start of iteration d, i.e. the state
-		// after iteration d-1 completed.
-		vPrev := trace[d]
+		// vPrev(k) is v[k] as step d started, i.e. after step d-1.
+		vPrev := func(k int) int { return trace[d-1][k+d-1] }
 		k := x - y
 		var prevK int
-		if k == -d || (k != d && vPrev[maxD+k-1] < vPrev[maxD+k+1]) {
+		if k == -d || (k != d && vPrev(k-1) < vPrev(k+1)) {
 			prevK = k + 1
 		} else {
 			prevK = k - 1
 		}
-		prevX := vPrev[maxD+prevK]
+		prevX := vPrev(prevK)
 		prevY := prevX - prevK
 		for x > prevX && y > prevY {
 			rev = append(rev, Edit{Kind: Keep, Text: a[x-1], ALine: x, BLine: y})

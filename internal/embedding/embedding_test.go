@@ -1,7 +1,10 @@
 package embedding
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -128,5 +131,43 @@ func TestQueryLimitAndOrder(t *testing.T) {
 	limited := ix.Query("session node snapshot observer", 2)
 	if len(limited) > 2 {
 		t.Errorf("limit ignored: %v", limited)
+	}
+}
+
+// TestVectorsBitIdenticalAcrossBuilds pins deterministic document vectors:
+// every weight of every build of the same corpus has the same bits. The
+// norm used to be summed in map order, so a document with many terms could
+// normalize to vectors a few ulps apart from build to build, and tests tied
+// on score swapped ranks between otherwise identical runs.
+func TestVectorsBitIdenticalAcrossBuilds(t *testing.T) {
+	docs := testDocs()
+	var long []string
+	for i := 0; i < 200; i++ {
+		long = append(long, fmt.Sprintf("term%d", i%61), fmt.Sprintf("word%d", i%37))
+	}
+	docs = append(docs, Doc{ID: "long", Text: strings.Join(long, " ")}, Doc{ID: "long2", Text: strings.Join(long[7:], " ")})
+	bits := func(ix *Index) []uint64 {
+		var out []uint64
+		for _, ps := range ix.postings {
+			for _, p := range ps {
+				out = append(out, uint64(p.doc), math.Float64bits(p.w))
+			}
+		}
+		return out
+	}
+	want := bits(NewIndex(docs))
+	query := strings.Join(long[3:90], " ")
+	wantTop := NewIndex(docs).Query(query, 0)
+	for i := 0; i < 50; i++ {
+		ix := NewIndex(docs)
+		if got := bits(ix); !slices.Equal(got, want) {
+			t.Fatalf("build %d: document vectors differ from the first build", i)
+		}
+		top := ix.Query(query, 0)
+		for j := range top {
+			if math.Float64bits(top[j].Score) != math.Float64bits(wantTop[j].Score) || top[j].ID != wantTop[j].ID {
+				t.Fatalf("build %d: query ranking differs: %v vs %v", i, top, wantTop)
+			}
+		}
 	}
 }

@@ -126,11 +126,7 @@ func suiteCoverage(cs *ticket.Case) (float64, bool) {
 	for _, c := range sysProg.Classes {
 		sysClasses[c.Name] = true
 	}
-	full := head
-	for _, tc := range cs.Tests {
-		full += "\n" + tc.Source
-	}
-	prog, err := compileQuiet(full)
+	prog, err := compileQuiet(ticket.JoinTests(head, cs.Tests))
 	if err != nil {
 		return 0, false
 	}

@@ -160,11 +160,7 @@ class StressTest {
 // concatenation) the system plus every test appended. Prewarming exactly
 // these keys makes the child's Prepare a pure decode.
 func stressSnapshotSources(src string, tests []ticket.TestCase) []string {
-	full := src
-	for _, tc := range tests {
-		full += "\n" + tc.Source
-	}
-	return []string{src, full}
+	return []string{src, ticket.JoinTests(src, tests)}
 }
 
 // runShardTopology executes one shards × workers topology in-process: one

@@ -80,11 +80,7 @@ func CrossCheck(sem *contract.Semantic, tk *ticket.Ticket) CrossCheckResult {
 
 	// Dynamic confirmation via the ticket's regression tests.
 	if len(tk.RegressionTests) > 0 {
-		full := tk.FixedSource
-		for _, tc := range tk.RegressionTests {
-			full += "\n" + tc.Source
-		}
-		tprog, err := compile(full)
+		tprog, err := compile(ticket.JoinTests(tk.FixedSource, tk.RegressionTests))
 		if err != nil {
 			res.Reason += fmt.Sprintf("; tests do not compile: %v", err)
 			return res

@@ -306,7 +306,7 @@ func (pa *PatchAnalyzer) buildSemantic(tk *ticket.Ticket, fixed *minij.Program, 
 	if best == nil {
 		return nil, nil
 	}
-	callee := contract.CalleeName(fixed, m, best.call)
+	callee := fixed.CalleeName(m, best.call)
 	if callee == "" {
 		return nil, nil
 	}

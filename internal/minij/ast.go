@@ -1,6 +1,9 @@
 package minij
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // TypeKind enumerates the MiniJ type constructors.
 type TypeKind int
@@ -66,19 +69,36 @@ type Program struct {
 	stmts      []Stmt    // all statements, indexed by ID
 	stmtMethod []*Method // enclosing method per statement ID
 
-	// ExprTypes records the static type of every expression, populated by
+	// exprTypes records the static type of every expression, populated by
 	// Resolve. Consumers (call-graph construction, symbolic evaluation)
-	// require a resolved program.
-	ExprTypes map[Expr]Type
+	// require a resolved program. A linked program holds only its own
+	// classes' types and finds the rest in base, the program it was
+	// linked onto (see Link).
+	exprTypes map[Expr]Type
+	base      *Program
+	// exprHint sizes exprTypes for Resolve (see parseClasses).
+	exprHint int
+
+	callsOnce sync.Once
+	calls     map[string][]CallSite
 }
 
 // TypeOf returns the statically inferred type of e, or TypeAny when the
 // program has not been resolved or e was synthesized after resolution.
 func (p *Program) TypeOf(e Expr) Type {
-	if t, ok := p.ExprTypes[e]; ok {
+	if t, ok := p.typeOf(e); ok {
 		return t
 	}
 	return Type{Kind: TypeAny}
+}
+
+func (p *Program) typeOf(e Expr) (Type, bool) {
+	for ; p != nil; p = p.base {
+		if t, ok := p.exprTypes[e]; ok {
+			return t, true
+		}
+	}
+	return Type{}, false
 }
 
 // MethodOf returns the method whose body contains the statement with the

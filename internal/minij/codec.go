@@ -107,17 +107,18 @@ func EncodeProgram(p *Program) ([]byte, error) {
 // DecodeProgram reconstructs a program from an EncodeProgram frame. The
 // checksum is verified before any payload byte is interpreted; the
 // returned program is indexed (lookup tables, dense statement IDs) exactly
-// as a freshly parsed one, with ExprTypes and Call kinds restored, so no
+// as a freshly parsed one, with expression types and Call kinds restored, so no
 // re-resolution is needed.
 func DecodeProgram(data []byte) (*Program, error) {
 	body, err := checkFrame(data)
 	if err != nil {
 		return nil, err
 	}
-	d := &decoder{buf: body, prog: &Program{ExprTypes: map[Expr]Type{}}}
+	d := &decoder{buf: body, prog: &Program{exprTypes: map[Expr]Type{}}}
+	var classes []*Class
 	n := d.uvarint()
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		d.prog.Classes = append(d.prog.Classes, d.class())
+		classes = append(classes, d.class())
 	}
 	if d.err == nil && d.off != len(d.buf) {
 		d.fail("trailing payload bytes")
@@ -125,10 +126,10 @@ func DecodeProgram(data []byte) (*Program, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	// indexProgram rebuilds the lookup tables and assigns statement IDs in
-	// the same deterministic walk order the parser uses, so a decoded
-	// program is indistinguishable from a parsed one.
-	if err := indexProgram(d.prog); err != nil {
+	// index rebuilds the lookup tables and assigns statement IDs in the
+	// same deterministic walk order the parser uses, so a decoded program
+	// is indistinguishable from a parsed one.
+	if err := d.prog.index(classes); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCodecCorrupt, err)
 	}
 	return d.prog, nil
@@ -166,11 +167,11 @@ type encoder struct {
 	prog *Program
 }
 
-func (e *encoder) uvarint(v uint64)  { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *encoder) svarint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *encoder) byte(b byte)       { e.buf = append(e.buf, b) }
-func (e *encoder) string(s string)   { e.uvarint(uint64(len(s))); e.buf = append(e.buf, s...) }
-func (e *encoder) pos(p Pos)         { e.uvarint(uint64(p.Line)); e.uvarint(uint64(p.Col)) }
+func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+func (e *encoder) svarint(v int64)  { e.buf = binary.AppendVarint(e.buf, v) }
+func (e *encoder) byte(b byte)      { e.buf = append(e.buf, b) }
+func (e *encoder) string(s string)  { e.uvarint(uint64(len(s))); e.buf = append(e.buf, s...) }
+func (e *encoder) pos(p Pos)        { e.uvarint(uint64(p.Line)); e.uvarint(uint64(p.Col)) }
 
 func (e *encoder) bool(b bool) {
 	if b {
@@ -359,7 +360,7 @@ func (e *encoder) expr(x Expr) {
 	// survive serialization, so each node carries its own entry inline. Not
 	// every node has one — a static-call receiver, for example, is a class
 	// name, not a value — hence the presence flag.
-	if t, ok := e.prog.ExprTypes[x]; ok {
+	if t, ok := e.prog.typeOf(x); ok {
 		e.byte(1)
 		e.typ(t)
 	} else {
@@ -602,7 +603,7 @@ func (d *decoder) expr() Expr {
 		return nil
 	}
 	if d.bool() {
-		d.prog.ExprTypes[x] = d.typ()
+		d.prog.exprTypes[x] = d.typ()
 	}
 	if d.err != nil {
 		return nil

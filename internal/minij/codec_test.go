@@ -48,28 +48,48 @@ func roundTrip(t *testing.T, label, src string) {
 	if err != nil || string(reenc) != string(enc) {
 		t.Fatalf("%s: re-encoding the decoded program changed the bytes (err %v)", label, err)
 	}
-	if dec.NumStmts() != prog.NumStmts() {
-		t.Fatalf("%s: stmt count %d != %d", label, dec.NumStmts(), prog.NumStmts())
+	sameProgram(t, label, dec, prog)
+}
+
+// sameProgram asserts got is indistinguishable from want: the same
+// canonical text and per-method canons, statement IDs with their positions
+// and enclosing methods, expression types, and call kinds.
+func sameProgram(t *testing.T, label string, got, want *Program) {
+	t.Helper()
+	if g, w := FormatProgram(got), FormatProgram(want); g != w {
+		t.Fatalf("%s: canon differs:\n--- got\n%s\n--- want\n%s", label, g, w)
 	}
-	for id := 0; id < prog.NumStmts(); id++ {
-		ps, ds := prog.StmtByID(id), dec.StmtByID(id)
+	gm, wm := got.Methods(), want.Methods()
+	if len(gm) != len(wm) {
+		t.Fatalf("%s: method count %d != %d", label, len(gm), len(wm))
+	}
+	for i := range wm {
+		if gm[i].FullName() != wm[i].FullName() || FormatMethod(gm[i]) != FormatMethod(wm[i]) {
+			t.Fatalf("%s: method %d: %s differs from %s", label, i, gm[i].FullName(), wm[i].FullName())
+		}
+	}
+	if got.NumStmts() != want.NumStmts() {
+		t.Fatalf("%s: stmt count %d != %d", label, got.NumStmts(), want.NumStmts())
+	}
+	for id := 0; id < want.NumStmts(); id++ {
+		ps, ds := want.StmtByID(id), got.StmtByID(id)
 		if ps.ID() != ds.ID() || ps.Pos() != ds.Pos() || fmt.Sprintf("%T", ps) != fmt.Sprintf("%T", ds) {
 			t.Fatalf("%s: stmt %d mismatch: %T@%s id=%d vs %T@%s id=%d",
 				label, id, ps, ps.Pos(), ps.ID(), ds, ds.Pos(), ds.ID())
 		}
-		if prog.MethodOf(id).FullName() != dec.MethodOf(id).FullName() {
+		if want.MethodOf(id).FullName() != got.MethodOf(id).FullName() {
 			t.Fatalf("%s: stmt %d enclosing method %s != %s",
-				label, id, prog.MethodOf(id).FullName(), dec.MethodOf(id).FullName())
+				label, id, want.MethodOf(id).FullName(), got.MethodOf(id).FullName())
 		}
 	}
-	pe, de := collectExprs(prog), collectExprs(dec)
+	pe, de := collectExprs(want), collectExprs(got)
 	if len(pe) != len(de) {
 		t.Fatalf("%s: expr count %d != %d", label, len(pe), len(de))
 	}
 	for i := range pe {
-		if prog.TypeOf(pe[i]) != dec.TypeOf(de[i]) {
+		if want.TypeOf(pe[i]) != got.TypeOf(de[i]) || pe[i].Pos() != de[i].Pos() {
 			t.Fatalf("%s: expr %d (%T@%s) type %s != %s",
-				label, i, pe[i], pe[i].Pos(), prog.TypeOf(pe[i]), dec.TypeOf(de[i]))
+				label, i, pe[i], pe[i].Pos(), want.TypeOf(pe[i]), got.TypeOf(de[i]))
 		}
 		pc, pok := pe[i].(*Call)
 		dc, dok := de[i].(*Call)

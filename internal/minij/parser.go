@@ -1,6 +1,11 @@
 package minij
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"maps"
+	"slices"
+)
 
 // ParseError describes a syntax error with its source position.
 type ParseError struct {
@@ -15,19 +20,78 @@ func (e *ParseError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg)
 // class/method/field lookup tables built and every statement assigned a dense
 // program-unique ID in source order.
 func Parse(src string) (*Program, error) {
-	toks, err := Lex(src)
+	classes, ntoks, err := parseClasses(src, 1)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
-	prog, err := p.parseProgram()
-	if err != nil {
-		return nil, err
-	}
-	if err := indexProgram(prog); err != nil {
+	prog := &Program{exprHint: ntoks / 3}
+	if err := prog.index(classes); err != nil {
 		return nil, err
 	}
 	return prog, nil
+}
+
+// ErrReopen reports test text that declares a class of the program it is
+// linked onto. Reopening a class may change how that class's existing code
+// resolves, so the caller must parse the joined source instead.
+var ErrReopen = errors.New("minij: linked text reopens a class of its base program")
+
+// Link parses and resolves src as further classes of base, an already
+// parsed and resolved program, without re-reading base's source. src
+// starts on line startLine of the joined text: base's source, one
+// newline, then src. The result equals Parse and Check of that joined text
+// in canonical text, statement IDs, positions and types. base is shared
+// and never modified: the linked program reuses its classes and statements
+// (copying only the slices and the class table that list them) and looks
+// their types up in base. Errors in src read exactly as the joined parse
+// reports them. Link returns ErrReopen when src declares a class base
+// already has.
+func Link(base *Program, src string, startLine int) (*Program, error) {
+	classes, ntoks, err := parseClasses(src, startLine)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range classes {
+		if base.byName[c.Name] != nil {
+			return nil, ErrReopen
+		}
+	}
+	prog := &Program{
+		Classes:    slices.Clip(base.Classes),
+		byName:     maps.Clone(base.byName),
+		stmts:      slices.Clip(base.stmts),
+		stmtMethod: slices.Clip(base.stmtMethod),
+		exprTypes:  make(map[Expr]Type, ntoks/3),
+		base:       base,
+	}
+	if err := prog.index(classes); err != nil {
+		return nil, err
+	}
+	if err := summarize(resolveClasses(prog, prog.Classes[len(base.Classes):])); err != nil {
+		return nil, err
+	}
+	return prog, nil
+}
+
+// parseClasses lexes and parses src, starting on the given line, into its
+// class declarations as written (reopened classes not yet merged), and
+// counts its tokens: MiniJ has about one typed expression per three tokens,
+// which sizes the resolver's type table.
+func parseClasses(src string, line int) ([]*Class, int, error) {
+	toks, err := lexFrom(src, line)
+	if err != nil {
+		return nil, 0, err
+	}
+	p := &parser{toks: toks}
+	var classes []*Class
+	for p.cur().Kind != TokEOF {
+		c, err := p.parseClass()
+		if err != nil {
+			return nil, 0, err
+		}
+		classes = append(classes, c)
+	}
+	return classes, len(toks), nil
 }
 
 // MustParse parses src and panics on error. It is a test helper only:
@@ -87,18 +151,6 @@ func (p *parser) expectIdent() (Token, error) {
 	}
 	p.i++
 	return t, nil
-}
-
-func (p *parser) parseProgram() (*Program, error) {
-	prog := &Program{}
-	for p.cur().Kind != TokEOF {
-		c, err := p.parseClass()
-		if err != nil {
-			return nil, err
-		}
-		prog.Classes = append(prog.Classes, c)
-	}
-	return prog, nil
 }
 
 func (p *parser) parseClass() (*Class, error) {
@@ -771,31 +823,31 @@ func (p *parser) parsePrimary() (Expr, error) {
 	return nil, &ParseError{Pos: t.Pos, Msg: fmt.Sprintf("expected expression, found %s", t)}
 }
 
-// indexProgram builds lookup tables and assigns dense statement IDs in
-// source order. Repeated declarations of the same class merge into one
+// index adds classes to prog: it builds their lookup tables and numbers
+// their statements densely in source order, after any statements prog
+// already has. Repeated declarations of the same class merge into one
 // (open classes), which lets independently authored test files contribute
 // methods to a shared test class; duplicate members are an error.
-func indexProgram(prog *Program) error {
-	merged := make([]*Class, 0, len(prog.Classes))
-	byName := make(map[string]*Class, len(prog.Classes))
-	for _, c := range prog.Classes {
-		base, seen := byName[c.Name]
+func (prog *Program) index(classes []*Class) error {
+	start := len(prog.Classes)
+	if prog.byName == nil {
+		prog.byName = make(map[string]*Class, len(classes))
+	}
+	for _, c := range classes {
+		base, seen := prog.byName[c.Name]
 		if !seen {
-			merged = append(merged, c)
-			byName[c.Name] = c
+			prog.Classes = append(prog.Classes, c)
+			prog.byName[c.Name] = c
 			continue
 		}
-		for _, f := range c.Fields {
-			base.Fields = append(base.Fields, f)
-		}
+		base.Fields = append(base.Fields, c.Fields...)
 		for _, m := range c.Methods {
 			m.Class = base
 			base.Methods = append(base.Methods, m)
 		}
 	}
-	prog.Classes = merged
-	prog.byName = byName
-	for _, c := range prog.Classes {
+	added := prog.Classes[start:]
+	for _, c := range added {
 		c.fieldsByName = make(map[string]*Field, len(c.Fields))
 		for _, f := range c.Fields {
 			if _, dup := c.fieldsByName[f.Name]; dup {
@@ -811,7 +863,7 @@ func indexProgram(prog *Program) error {
 			c.methodsByName[m.Name] = m
 		}
 	}
-	for _, c := range prog.Classes {
+	for _, c := range added {
 		for _, m := range c.Methods {
 			WalkStmts(m.Body, func(s Stmt) {
 				s.setID(len(prog.stmts))

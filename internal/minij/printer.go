@@ -159,9 +159,14 @@ func CanonStmt(s Stmt) string {
 // FormatProgram pretty-prints a program in canonical multi-line form with
 // tab indentation. Formatting the same program twice yields identical text,
 // which makes version-to-version diffs stable.
-func FormatProgram(p *Program) string {
+func FormatProgram(p *Program) string { return FormatClasses(p.Classes) }
+
+// FormatClasses renders classes the way FormatProgram renders a program's
+// classes, so the canon of a program extended by more classes is its old
+// canon, a newline, and the added classes' rendering.
+func FormatClasses(classes []*Class) string {
 	var sb strings.Builder
-	for i, c := range p.Classes {
+	for i, c := range classes {
 		if i > 0 {
 			sb.WriteByte('\n')
 		}

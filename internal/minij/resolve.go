@@ -21,9 +21,15 @@ func (e *ResolveError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Ms
 // interpreter and the symbolic engine rely on. It returns all diagnostics
 // found.
 func Resolve(prog *Program) []*ResolveError {
-	prog.ExprTypes = map[Expr]Type{}
+	prog.exprTypes = make(map[Expr]Type, prog.exprHint)
+	return resolveClasses(prog, prog.Classes)
+}
+
+// resolveClasses resolves the methods of classes, which belong to prog,
+// recording expression types in prog's own table.
+func resolveClasses(prog *Program, classes []*Class) []*ResolveError {
 	r := &resolver{prog: prog}
-	for _, c := range prog.Classes {
+	for _, c := range classes {
 		for _, m := range c.Methods {
 			r.method(m)
 		}
@@ -33,8 +39,10 @@ func Resolve(prog *Program) []*ResolveError {
 
 // Check resolves the program and returns a single error summarizing all
 // diagnostics, or nil if the program is statically valid.
-func Check(prog *Program) error {
-	errs := Resolve(prog)
+func Check(prog *Program) error { return summarize(Resolve(prog)) }
+
+// summarize folds resolver diagnostics into Check's single error.
+func summarize(errs []*ResolveError) error {
 	if len(errs) == 0 {
 		return nil
 	}
@@ -236,7 +244,7 @@ func (r *resolver) requireAssignable(pos Pos, dst, src Type, format string, args
 
 func (r *resolver) expr(e Expr) Type {
 	t := r.exprInner(e)
-	r.prog.ExprTypes[e] = t
+	r.prog.exprTypes[e] = t
 	return t
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"maps"
 	"sort"
 
 	"lisa/internal/faultinject"
@@ -348,6 +349,7 @@ func (s *Snapshot) restoreLegacy(rec *snapRecordV1) bool {
 // captured), so a chaos run keeps its cold-process fault cadence against
 // a warm store.
 func (s *Snapshot) adopt(prog *minij.Program, canon, canonHash, shape string, methods map[string]string, graph *callgraph.Summary) {
+	s.base = nil // a restored program stands alone, shared with no base
 	s.prog = prog
 	s.canon = canon
 	s.canonHash = canonHash
@@ -415,8 +417,14 @@ func (s *Snapshot) persistRecord(st *store.Store) {
 }
 
 // methodCanons returns the full per-method canonical map, building it once
-// through the same path MethodCanon uses.
+// through the same path MethodCanon uses; a linked snapshot's covers its
+// base's methods too.
 func (s *Snapshot) methodCanons() map[string]string {
 	s.MethodCanon("")
-	return s.methodCanon
+	if s.base == nil {
+		return s.methodCanon
+	}
+	all := maps.Clone(s.base.methodCanons())
+	maps.Copy(all, s.methodCanon)
+	return all
 }

@@ -29,6 +29,7 @@ import (
 	"lisa/internal/faultinject"
 	"lisa/internal/minij"
 	"lisa/internal/store"
+	"lisa/internal/ticket"
 )
 
 // DefaultCapacity is the entry bound of the process-wide cache: large
@@ -43,6 +44,10 @@ type Snapshot struct {
 	source string
 	hash   string
 	cache  *Cache
+	// base is the system snapshot a system-plus-tests snapshot was linked
+	// onto (LoadWithTests): its program and per-method canons are shared,
+	// not rebuilt. Nil for every other snapshot.
+	base *Snapshot
 
 	compileOnce sync.Once
 	prog        *minij.Program
@@ -125,16 +130,36 @@ func (s *Snapshot) Graph() *callgraph.Graph {
 // renderings are built once and reused by every fingerprint and dirty-set
 // computation over this version.
 func (s *Snapshot) MethodCanon(fullName string) string {
+	if s.base != nil {
+		if c := s.base.MethodCanon(fullName); c != "" {
+			return c
+		}
+	}
 	s.methodsOnce.Do(func() {
 		m := map[string]string{}
-		if s.prog != nil {
-			for _, method := range s.prog.Methods() {
-				m[method.FullName()] = minij.FormatMethod(method)
-			}
+		for _, method := range s.ownMethods() {
+			m[method.FullName()] = minij.FormatMethod(method)
 		}
 		s.methodCanon = m
 	})
 	return s.methodCanon[fullName]
+}
+
+// ownMethods lists the methods this snapshot renders itself: all of them,
+// or for a linked snapshot only those of the classes it added to its base.
+func (s *Snapshot) ownMethods() []*minij.Method {
+	if s.prog == nil {
+		return nil
+	}
+	classes := s.prog.Classes
+	if s.base != nil {
+		classes = classes[len(s.base.prog.Classes):]
+	}
+	var ms []*minij.Method
+	for _, c := range classes {
+		ms = append(ms, c.Methods...)
+	}
+	return ms
 }
 
 // Shape returns the program's declaration skeleton: class names, fields,
@@ -170,17 +195,38 @@ func (s *Snapshot) Verify() error {
 	return nil
 }
 
-// build runs the compile stage exactly once per snapshot.
+// build runs the compile stage exactly once per snapshot. A snapshot with a
+// base links: only the test text after the base source is parsed and
+// resolved, and the canon extends the base's. A test class reopening a
+// system class, or an armed fault plan (whose corruption point edits the
+// built AST in place and must never reach the shared base program), parses
+// the joined text instead.
 func (s *Snapshot) build() {
 	if s.cache != nil {
 		s.cache.compiles.Add(1)
 	}
-	prog, err := minij.Parse(s.source)
-	if err != nil {
-		s.err = err
-		return
+	if s.base != nil && !faultinject.Armed() {
+		start := strings.Count(s.base.source, "\n") + 2
+		prog, err := minij.Link(s.base.prog, s.source[len(s.base.source)+1:], start)
+		if !errors.Is(err, minij.ErrReopen) {
+			s.err = err
+			if err == nil {
+				s.prog = prog
+				s.canon = s.base.canon
+				if added := prog.Classes[len(s.base.prog.Classes):]; len(added) > 0 {
+					if s.canon != "" {
+						s.canon += "\n"
+					}
+					s.canon += minij.FormatClasses(added)
+				}
+				s.canonHash = Hash(s.canon)
+			}
+			return
+		}
 	}
-	if err := minij.Check(prog); err != nil {
+	s.base = nil
+	prog, err := Compile(s.source)
+	if err != nil {
 		s.err = err
 		return
 	}
@@ -307,7 +353,19 @@ func NewCache(capacity int) *Cache {
 // Load returns the snapshot for source, compiling it at most once per
 // residency. The error (a parse or resolution failure) is the same on every
 // load of the same bad source.
-func (c *Cache) Load(source string) (*Snapshot, error) {
+func (c *Cache) Load(source string) (*Snapshot, error) { return c.load(source, nil) }
+
+// LoadWithTests returns the snapshot of base's system with tests appended,
+// addressed like Load by the hash of the joined text (ticket.JoinTests), so
+// both calls share one entry for one text. base must be a loaded snapshot.
+// A miss the disk tier cannot serve links rather than parses: only the
+// test text is lexed, parsed and resolved, onto base's already-resolved
+// program (minij.Link), whose classes and statements the result shares.
+func (c *Cache) LoadWithTests(base *Snapshot, tests []ticket.TestCase) (*Snapshot, error) {
+	return c.load(ticket.JoinTests(base.source, tests), base)
+}
+
+func (c *Cache) load(source string, base *Snapshot) (*Snapshot, error) {
 	h := Hash(source)
 	c.mu.Lock()
 	if el, ok := c.entries[h]; ok {
@@ -321,7 +379,7 @@ func (c *Cache) Load(source string) (*Snapshot, error) {
 		return snap.result()
 	}
 	c.misses++
-	snap := &Snapshot{source: source, hash: h, cache: c}
+	snap := &Snapshot{source: source, hash: h, cache: c, base: base}
 	c.entries[h] = c.order.PushFront(snap)
 	for c.order.Len() > c.capacity {
 		oldest := c.order.Back()

@@ -8,7 +8,7 @@
 package testsel
 
 import (
-	"strings"
+	"sync"
 
 	"lisa/internal/callgraph"
 	"lisa/internal/concolic"
@@ -18,88 +18,130 @@ import (
 	"lisa/internal/ticket"
 )
 
-// Selector ranks tests against path features.
+// Selector ranks tests against path features. It is safe for concurrent
+// use: the per-site selections of one run share it, and with it the memo of
+// each feature fragment's term IDs.
 type Selector struct {
-	tests  []ticket.TestCase
-	byName map[string]ticket.TestCase
-	index  *embedding.Index
+	tests []ticket.TestCase
+	index *embedding.Index // document i is tests[i]
+
+	mu      sync.Mutex
+	methods map[*minij.Method][]int32
+	stmts   map[minij.Stmt][]int32
+	texts   map[string][]int32
 }
 
 // New builds a selector over the test corpus. Each test is embedded from
 // its name, natural-language description, and source identifiers.
 func New(tests []ticket.TestCase) *Selector {
 	docs := make([]embedding.Doc, len(tests))
-	byName := make(map[string]ticket.TestCase, len(tests))
 	for i, tc := range tests {
 		docs[i] = embedding.Doc{ID: tc.Name, Text: tc.Name + " " + tc.Description + " " + tc.Source}
-		byName[tc.Name] = tc
 	}
-	return &Selector{tests: tests, byName: byName, index: embedding.NewIndex(docs)}
+	return &Selector{
+		tests:   tests,
+		index:   embedding.NewIndex(docs),
+		methods: map[*minij.Method][]int32{},
+		stmts:   map[minij.Stmt][]int32{},
+		texts:   map[string][]int32{},
+	}
 }
 
 // Len returns the corpus size.
 func (s *Selector) Len() int { return len(s.tests) }
 
-// PathFeature summarizes an execution path for retrieval: the chain of
-// methods from the entry function to the target plus the intraprocedural
-// guards, which together identify the feature and the condition under
-// which the feature takes this path.
-func PathFeature(target *contract.Site, chain callgraph.Path, static *concolic.StaticPath) string {
-	var sb strings.Builder
-	for _, m := range callgraph.MethodsOnPath(chain, target.Method) {
-		sb.WriteString(m.FullName())
-		sb.WriteByte(' ')
-	}
-	sb.WriteString(minij.CanonStmt(target.Stmt))
-	sb.WriteByte(' ')
-	if static != nil {
-		for _, g := range static.Guards {
-			sb.WriteString(g.Guard)
-			sb.WriteByte(' ')
-		}
-	}
-	if target.Semantic != nil {
-		sb.WriteString(target.Semantic.Description)
-	}
-	return sb.String()
-}
-
 // Select returns the top-k tests for a feature description, in rank order.
 func (s *Selector) Select(feature string, k int) []ticket.TestCase {
-	matches := s.index.Query(feature, k)
-	out := make([]ticket.TestCase, 0, len(matches))
-	for _, m := range matches {
-		out = append(out, s.byName[m.ID])
+	top := s.index.Ranker().Top(s.index.Terms(feature), k)
+	out := make([]ticket.TestCase, len(top))
+	for i, d := range top {
+		out[i] = s.tests[d]
 	}
 	return out
 }
 
 // SelectForSite unions the top-k tests across every (chain, static path)
 // pair of a site, preserving first-seen rank order — the per-path selection
-// of §3.2 rolled up to the site.
+// of §3.2 rolled up to the site. Each pair's query is the path feature:
+// the methods from the entry function to the target, the target statement,
+// the guards along the path, and the semantic's description. The query is
+// assembled from the memoized term IDs of those fragments rather than
+// rendered and tokenized per pair.
 func (s *Selector) SelectForSite(site *contract.Site, chains []callgraph.Path, statics []*concolic.StaticPath, k int) []ticket.TestCase {
-	seen := map[string]bool{}
-	var out []ticket.TestCase
-	add := func(tcs []ticket.TestCase) {
-		for _, tc := range tcs {
-			if !seen[tc.Name] {
-				seen[tc.Name] = true
-				out = append(out, tc)
-			}
-		}
-	}
 	if len(chains) == 0 {
 		chains = []callgraph.Path{nil}
 	}
 	if len(statics) == 0 {
 		statics = []*concolic.StaticPath{nil}
 	}
-	for _, ch := range chains {
-		for _, sp := range statics {
-			add(s.Select(PathFeature(site, ch, sp), k))
+	s.mu.Lock()
+	target := s.stmtTerms(site.Stmt)
+	var desc []int32
+	if site.Semantic != nil {
+		desc = s.textTerms(site.Semantic.Description)
+	}
+	chainTerms := make([][]int32, len(chains))
+	for i, ch := range chains {
+		for _, m := range callgraph.MethodsOnPath(ch, site.Method) {
+			chainTerms[i] = append(chainTerms[i], s.methodTerms(m)...)
+		}
+	}
+	guardTerms := make([][]int32, len(statics))
+	for i, sp := range statics {
+		if sp == nil {
+			continue
+		}
+		for _, g := range sp.Guards {
+			guardTerms[i] = append(guardTerms[i], s.textTerms(g.Guard)...)
+		}
+	}
+	s.mu.Unlock()
+
+	ranker := s.index.Ranker()
+	seen := make([]bool, len(s.tests))
+	var out []ticket.TestCase
+	var query []int32
+	for _, ct := range chainTerms {
+		for _, gt := range guardTerms {
+			query = append(append(append(append(query[:0], ct...), target...), gt...), desc...)
+			for _, d := range ranker.Top(query, k) {
+				if !seen[d] {
+					seen[d] = true
+					out = append(out, s.tests[d])
+				}
+			}
 		}
 	}
 	return out
+}
+
+// The fragment memos; callers hold s.mu.
+
+func (s *Selector) methodTerms(m *minij.Method) []int32 {
+	ids, ok := s.methods[m]
+	if !ok {
+		ids = s.index.Terms(m.FullName())
+		s.methods[m] = ids
+	}
+	return ids
+}
+
+func (s *Selector) stmtTerms(st minij.Stmt) []int32 {
+	ids, ok := s.stmts[st]
+	if !ok {
+		ids = s.index.Terms(minij.CanonStmt(st))
+		s.stmts[st] = ids
+	}
+	return ids
+}
+
+func (s *Selector) textTerms(text string) []int32 {
+	ids, ok := s.texts[text]
+	if !ok {
+		ids = s.index.Terms(text)
+		s.texts[text] = ids
+	}
+	return ids
 }
 
 // All returns every test in corpus order (the no-selection baseline for the

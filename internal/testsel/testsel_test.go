@@ -75,8 +75,7 @@ class Prep {
 func TestSelectRanksRelevantTests(t *testing.T) {
 	sel := New(suite())
 	site := sessionSite(t)
-	feature := PathFeature(site, nil, nil)
-	got := sel.Select(feature, 2)
+	got := sel.SelectForSite(site, nil, nil, 2)
 	if len(got) == 0 {
 		t.Fatal("no tests selected")
 	}

@@ -22,11 +22,30 @@ type TestCase struct {
 	// Description summarizes the scenario in natural language.
 	Description string
 	// Source is the MiniJ source of the test class(es); it is concatenated
-	// with the system source before compilation.
+	// with the system source before compilation (see JoinTests).
 	Source string
 	// Class and Method locate the static entry point.
 	Class  string
 	Method string
+}
+
+// JoinTests returns the analysis source of a system with its tests: src,
+// then each test's source, one newline before each. Its hash is the content
+// address of the system-plus-tests program, so every caller that needs
+// that address builds the text here.
+func JoinTests(src string, tests []TestCase) string {
+	n := len(src)
+	for _, tc := range tests {
+		n += 1 + len(tc.Source)
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	sb.WriteString(src)
+	for _, tc := range tests {
+		sb.WriteByte('\n')
+		sb.WriteString(tc.Source)
+	}
+	return sb.String()
 }
 
 // Ticket is one failure ticket.

@@ -5,7 +5,9 @@
 # on-disk store with its goroutine hammer, and the serve daemon with its
 # request hammer and admission control), the binary AST codec fuzz suite
 # by name (round-trip byte-identity over the corpus and seeded mutants;
-# truncated/bit-flipped/version-skewed frames must be rejected), the
+# truncated/bit-flipped/version-skewed frames must be rejected), a short
+# native fuzz run of FuzzLink (test text linked onto a resolved system must
+# equal the joined parse, or fail with the same error), the
 # daemon smoke test by name (start a real listener, one gate round trip,
 # clean drain), the cold-process-on-warm-store smoke (two CLI invocations
 # sharing a store directory: the second must serve its jobs from the disk
@@ -19,14 +21,16 @@
 # codes with failover off), the 2-shard smoke (a sharded CLI run must
 # render byte-identical verdicts to the plain run, with the parent's warm
 # handoff pre-seeding the shared store), the perf-regression gate against
-# the committed counter baseline, and a smoke run of the fault-injection
-# matrix. ROADMAP.md points here.
+# the committed counter baseline (solver, front-end and sweep heap
+# counters), and a smoke run of the fault-injection matrix. ROADMAP.md
+# points here.
 set -ex
 go build ./...
 go test ./...
 go vet ./...
 go test -race ./internal/sched/... ./internal/shard/... ./internal/program/... ./internal/faultinject/... ./internal/smt/... ./internal/concolic/... ./internal/server/... ./internal/store/...
 go test -run 'TestCodec' -count=1 ./internal/minij
+go test -run '^$' -fuzz '^FuzzLink$' -fuzztime 10s ./internal/minij
 go test -run TestServerSmoke -count=1 ./internal/server
 STORE_SMOKE=$(mktemp -d)
 go run ./cmd/lisa assert -case zk-ephemeral -tests -store "$STORE_SMOKE/store" > /dev/null
@@ -52,5 +56,5 @@ go build -o "$SHARD_SMOKE/lisa" ./cmd/lisa
 "$SHARD_SMOKE/lisa" assert -case zk-ephemeral -tests -shards 2 -store "$SHARD_SMOKE/store" | sed -n '/^verdicts:/,$p' > "$SHARD_SMOKE/sharded.out"
 cmp "$SHARD_SMOKE/plain.out" "$SHARD_SMOKE/sharded.out"
 rm -rf "$SHARD_SMOKE"
-go run ./cmd/lisabench -diff BENCH_10.json
+go run ./cmd/lisabench -diff BENCH_13.json
 go run ./cmd/lisabench -exp chaos -seed 1
