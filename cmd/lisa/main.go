@@ -35,15 +35,6 @@
 //	    current head, then gates the change so only impacted jobs
 //	    re-execute (the summary reports the cache-hit split).
 //
-//	lisa assert|gate ... -shards N
-//	    Partition the run's semantics across N child lisa processes by
-//	    stable hash, all sharing one on-disk store (a temporary directory
-//	    unless -store is given). Each child executes only its shard and
-//	    writes results through; the parent then re-runs the full job set
-//	    against the warmed store — every job served from the disk tier —
-//	    and prints the usual report, byte-identical to a sequential run,
-//	    plus a per-shard wall-clock ledger. Incompatible with -remote.
-//
 //	lisa author -spec <file> -source <file>
 //	    Compile developer-authored semantics from a structured spec file
 //	    (§5's explicit-encoding interface) and assert them over a source.
@@ -105,7 +96,6 @@ import (
 	"lisa/internal/program"
 	"lisa/internal/sched"
 	"lisa/internal/server"
-	"lisa/internal/shard"
 	"lisa/internal/smt"
 	"lisa/internal/store"
 	"lisa/internal/ticket"
@@ -398,8 +388,6 @@ func runAssert(args []string) error {
 	sourcePath := fs.String("source", "", "path to a MiniJ source file to assert over")
 	withTests := fs.Bool("tests", false, "also replay similarity-selected tests")
 	workers := fs.Int("workers", 0, "scheduler pool width; 0 = GOMAXPROCS (the default), 1 = the sequential engine loop")
-	shards := fs.Int("shards", 1, "split the assertion across N child processes sharing one store; the parent then merges from the warmed store and prints the usual report")
-	shardIndex := fs.Int("shard-index", -1, "internal: run as shard child N of -shards (set by the parent; executes only that shard's semantics and suppresses the report)")
 	storeDir := fs.String("store", "", "back the snapshot, solver, and fingerprint caches with an on-disk store at this directory (created if missing)")
 	deepVerify := fs.Int("deep-verify", 0, "with -store: deep-verify every Nth snapshot restore by re-parsing the source and comparing canons (0 = default sampling, 1 = every restore, i.e. the pre-v2 behavior)")
 	remote := fs.String("remote", "", "assert through a running lisa serve daemon at this base URL instead of in-process")
@@ -416,38 +404,6 @@ func runAssert(args []string) error {
 	}
 	if id == "" {
 		return fmt.Errorf("need -case or -rules")
-	}
-	var shardResults []shard.Result
-	var mergeStart time.Time
-	cleanupShards := func() {}
-	defer func() { cleanupShards() }()
-	if *shards > 1 && *shardIndex < 0 {
-		if *remote != "" {
-			return fmt.Errorf("-shards is incompatible with -remote")
-		}
-		// Warm handoff: resolve the target up front and hand the children a
-		// store that already holds its parsed snapshots — each child then
-		// restores by binary-AST decode instead of a full parse.
-		cs := corpus.Load().Get(id)
-		if cs == nil {
-			return fmt.Errorf("unknown case %q (try 'lisa list')", id)
-		}
-		target, terr := resolveAssertTarget(cs, *sourcePath, *version, id)
-		if terr != nil {
-			return terr
-		}
-		warm := []string{target}
-		if *withTests {
-			warm = append(warm, ticket.JoinTests(target, cs.Tests))
-		}
-		results, dir, cleanup, err := spawnShards("assert", args, *shards, *storeDir, warm...)
-		if err != nil {
-			return err
-		}
-		cleanupShards = cleanup
-		shardResults = results
-		*storeDir = dir
-		mergeStart = time.Now()
 	}
 	if *remote != "" {
 		req := server.AssertRequest{Case: id, Version: *version, Tests: *withTests}
@@ -513,27 +469,13 @@ func runAssert(args []string) error {
 		tests = cs.Tests
 	}
 	var rep *core.AssertReport
-	if *workers != 1 || st != nil || *shardIndex >= 0 {
+	if *workers != 1 || st != nil {
 		s := sched.New()
 		s.Cache().SetStore(st)
-		opts := sched.Options{Workers: *workers}
-		if *shardIndex >= 0 {
-			opts.ShardIndex = *shardIndex
-			opts.ShardCount = *shards
-		}
 		var stats *sched.Stats
-		rep, stats, err = s.Assert(e, target, tests, opts)
+		rep, stats, err = s.Assert(e, target, tests, sched.Options{Workers: *workers})
 		if err != nil {
 			return err
-		}
-		if *shardIndex >= 0 {
-			// Child mode: this process only warms the shared store with its
-			// shard's results. The parent's merge run owns the report and
-			// the exit code, so print a one-line summary and succeed.
-			flushStore()
-			fmt.Printf("shard %d/%d: %d jobs (%d executed, %d cache hits), %d semantics elsewhere\n",
-				*shardIndex, *shards, stats.Jobs, stats.Executed, stats.CacheHits, stats.ShardSkippedSemantics)
-			return nil
 		}
 		fmt.Printf("\nscheduled %d jobs on %d workers (%d site, %d dynamic, %d structural)\n",
 			stats.Jobs, stats.Workers, stats.SiteJobs, stats.DynamicJobs, stats.StructuralJobs)
@@ -543,9 +485,6 @@ func runAssert(args []string) error {
 		if stats.SnapshotRestores > 0 {
 			fmt.Printf("snapshots: %d restored from the store (%d decoded, %d deep-verified)\n",
 				stats.SnapshotRestores, stats.SnapshotRestoresDecoded, stats.SnapshotRestoresDeepVerified)
-		}
-		if shardResults != nil {
-			fmt.Print(shard.Ledger(shardResults, time.Since(mergeStart)))
 		}
 	} else {
 		rep, err = e.Assert(target, tests)
@@ -578,7 +517,6 @@ func runAssert(args []string) error {
 	}
 	if rep.Counts.Violations > 0 {
 		flushStore()
-		cleanupShards()
 		os.Exit(1)
 	}
 	return nil
@@ -629,8 +567,6 @@ func runGate(args []string) error {
 	changePath := fs.String("change", "", "path to the proposed full MiniJ source")
 	summary := fs.String("summary", "proposed change", "change summary for the gate log")
 	workers := fs.Int("workers", 0, "scheduler pool width; 0 = GOMAXPROCS (the default), 1 = the sequential engine loop")
-	shards := fs.Int("shards", 1, "split the gate's assertion across N child processes sharing one store; the parent then merges from the warmed store and prints the gate log")
-	shardIndex := fs.Int("shard-index", -1, "internal: run as shard child N of -shards (set by the parent; executes only that shard's semantics and suppresses the gate log)")
 	incremental := fs.Bool("incremental", false, "prime the fingerprint cache on the current head, then gate only what the change impacts")
 	failClosed := fs.Bool("fail-closed", true, "block the change when any contract's assertion is INCONCLUSIVE (degraded by a deadline, budget, or contained crash)")
 	failOpen := fs.Bool("fail-open", false, "downgrade INCONCLUSIVE outcomes to warnings and let the change pass; overrides -fail-closed")
@@ -654,34 +590,6 @@ func runGate(args []string) error {
 	data, err := os.ReadFile(*changePath)
 	if err != nil {
 		return err
-	}
-	var shardResults []shard.Result
-	var mergeStart time.Time
-	cleanupShards := func() {}
-	defer func() { cleanupShards() }()
-	if *shards > 1 && *shardIndex < 0 {
-		if *remote != "" {
-			return fmt.Errorf("-shards is incompatible with -remote")
-		}
-		// Warm handoff: every version a gate child will load — head and
-		// proposed change, bare and with the test suite appended — goes
-		// into the shared store parsed, so children restore parse-free.
-		cs := corpus.Load().Get(*caseID)
-		if cs == nil {
-			return fmt.Errorf("unknown case %q", *caseID)
-		}
-		warm := []string{
-			cs.Head(), ticket.JoinTests(cs.Head(), cs.Tests),
-			string(data), ticket.JoinTests(string(data), cs.Tests),
-		}
-		results, dir, cleanup, serr := spawnShards("gate", args, *shards, *storeDir, warm...)
-		if serr != nil {
-			return serr
-		}
-		cleanupShards = cleanup
-		shardResults = results
-		*storeDir = dir
-		mergeStart = time.Now()
 	}
 	if *remote != "" {
 		req := server.GateRequest{
@@ -745,22 +653,14 @@ func runGate(args []string) error {
 		}
 	}
 	opts := ci.GateOptions{Workers: *workers, Incremental: *incremental, FailOpen: *failOpen || !*failClosed}
-	if *shardIndex >= 0 {
-		opts.ShardIndex = *shardIndex
-		opts.ShardCount = *shards
-	}
-	if *workers != 1 || *incremental || st != nil || *shardIndex >= 0 {
+	if *workers != 1 || *incremental || st != nil {
 		opts.Scheduler = sched.New()
 		opts.Scheduler.Cache().SetStore(st)
 	}
 	if *incremental && opts.Scheduler != nil {
 		// Warm the cache on the current head so the gate re-executes only
 		// the jobs the change impacts.
-		if _, _, err := opts.Scheduler.Assert(e, cs.Head(), cs.Tests, sched.Options{
-			Workers:    *workers,
-			ShardIndex: opts.ShardIndex,
-			ShardCount: opts.ShardCount,
-		}); err != nil {
+		if _, _, err := opts.Scheduler.Assert(e, cs.Head(), cs.Tests, sched.Options{Workers: *workers}); err != nil {
 			return fmt.Errorf("priming cache on head: %w", err)
 		}
 	}
@@ -772,20 +672,9 @@ func runGate(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *shardIndex >= 0 {
-		// Child mode: the point was warming the shared store; the parent's
-		// merge gate owns the log and the exit code.
-		flushStore()
-		fmt.Printf("shard %d/%d: gate pass=%v (report suppressed; parent merges)\n", *shardIndex, *shards, res.Pass)
-		return nil
-	}
-	if shardResults != nil {
-		fmt.Print(shard.Ledger(shardResults, time.Since(mergeStart)))
-	}
 	fmt.Print(res.Summary())
 	if !res.Pass {
 		flushStore()
-		cleanupShards()
 		os.Exit(1)
 	}
 	return nil

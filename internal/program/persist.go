@@ -2,7 +2,6 @@ package program
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"maps"
 	"sort"
@@ -17,12 +16,9 @@ import (
 // snapNamespace versions the snapshot records in the on-disk store; bump
 // it when the record encoding changes so stale stores read as misses.
 // snap.v2 records carry the binary AST (minij.EncodeProgram), making
-// restore parse-free; snapLegacyNamespace is the PR-7 record shape, still
-// readable (via the re-parse path) and migrated to v2 on first restore.
-const (
-	snapNamespace       = "snap.v2"
-	snapLegacyNamespace = "snap.v1"
-)
+// restore parse-free. Records of older namespaces (snap.v1) are never read:
+// the store is a cache, so they are misses that recompute and persist v2.
+const snapNamespace = "snap.v2"
 
 // snapRecord is the persisted form of a fully-warmed snapshot: the binary
 // AST (self-checksummed by the codec), the canonical form with its own
@@ -213,15 +209,6 @@ func (r *recReader) bool() bool {
 	return b
 }
 
-// snapRecordV1 is the PR-7-era record: no AST, so restoring one re-parses
-// the source and re-renders the canon (the path v2 made a sampling knob).
-type snapRecordV1 struct {
-	Canon   string             `json:"canon"`
-	Shape   string             `json:"shape"`
-	Methods map[string]string  `json:"methods"`
-	Graph   *callgraph.Summary `json:"graph,omitempty"`
-}
-
 // SetStore attaches (nil: detaches) the on-disk tier behind this cache.
 // Safe to call concurrently with loads.
 func (c *Cache) SetStore(st *store.Store) { c.disk.Store(st) }
@@ -232,9 +219,9 @@ func (c *Cache) CacheName() string { return "snapshot" }
 // TierStats reports the two-tier counters in the unified shape. MemHits /
 // MemMisses are the LRU's counters; DiskHits counts successful restores,
 // split into decoded (binary AST adopted after the canon digest check) and
-// verified (full re-parse + re-render comparison: the deep-verify samples
-// and every legacy v1 restore); DiskMisses counts absent records and
-// records that failed either check.
+// verified (full re-parse + re-render comparison: the deep-verify
+// samples); DiskMisses counts absent records and records that failed
+// either check.
 func (c *Cache) TierStats() store.TierStats {
 	c.mu.Lock()
 	hits, misses := c.hits, c.misses
@@ -250,8 +237,7 @@ func (c *Cache) TierStats() store.TierStats {
 		DiskHitsVerified: c.restoresVerified.Load(),
 	}
 	if st := c.disk.Load(); st != nil {
-		ts.DiskWriteErrors = st.NamespaceWriteErrors(snapNamespace) +
-			st.NamespaceWriteErrors(snapLegacyNamespace)
+		ts.DiskWriteErrors = st.NamespaceWriteErrors(snapNamespace)
 	}
 	return ts
 }
@@ -259,23 +245,13 @@ func (c *Cache) TierStats() store.TierStats {
 var _ store.CacheBackend = (*Cache)(nil)
 
 // compile populates the snapshot exactly once: from the disk tier when a
-// verified record exists (v2 binary AST first, legacy v1 as a fallback
-// that migrates), else by the full front-end build (which is then
+// verified v2 record exists, else by the full front-end build (which is then
 // persisted, so the next process can restore it).
 func (s *Snapshot) compile() {
 	if s.cache != nil {
 		if st := s.cache.disk.Load(); st != nil {
 			if raw, ok := st.Get(snapNamespace, s.hash); ok {
 				if rec, ok := decodeRecord(raw); ok && s.restore(rec) {
-					return
-				}
-			} else if raw, ok := st.Get(snapLegacyNamespace, s.hash); ok {
-				var rec snapRecordV1
-				if json.Unmarshal(raw, &rec) == nil && s.restoreLegacy(&rec) {
-					// One-time migration: the legacy restore fully
-					// verified the AST, so rewrite the record in v2 form —
-					// every later process restores it parse-free.
-					s.persistRecord(st)
 					return
 				}
 			}
@@ -292,7 +268,7 @@ func (s *Snapshot) compile() {
 // is itself sha256-sealed, so truncation or bit flips surface here as a
 // decode error, never as a wrong AST). Every Nth restore — and every
 // restore while a faultinject plan is armed — additionally runs the
-// legacy deep verification: re-parse the source, re-render both programs,
+// deep verification: re-parse the source, re-render both programs,
 // and require byte-identity with the stored canon. Any failure returns
 // false and the caller falls back to a full build (a miss, never a wrong
 // result). The derived artifacts (shape, per-method canon, graph summary)
@@ -320,26 +296,6 @@ func (s *Snapshot) restore(rec *snapRecord) bool {
 		s.cache.restoresDecoded.Add(1)
 	}
 	s.adopt(prog, rec.Canon, rec.CanonSHA, rec.Shape, rec.Methods, rec.Graph)
-	return true
-}
-
-// restoreLegacy adopts a PR-7-era v1 record: the source is re-parsed and
-// re-checked (those records carry no AST), and the canonical render must
-// byte-match the record — the same Verify() machinery that catches mutated
-// snapshots catches stale or corrupt records here.
-func (s *Snapshot) restoreLegacy(rec *snapRecordV1) bool {
-	prog, err := minij.Parse(s.source)
-	if err != nil {
-		return false
-	}
-	if err := minij.Check(prog); err != nil {
-		return false
-	}
-	if minij.FormatProgram(prog) != rec.Canon {
-		return false
-	}
-	s.cache.restoresVerified.Add(1)
-	s.adopt(prog, rec.Canon, Hash(rec.Canon), rec.Shape, rec.Methods, rec.Graph)
 	return true
 }
 
@@ -390,12 +346,6 @@ func (s *Snapshot) persist() {
 	if s.Verify() != nil {
 		return
 	}
-	s.persistRecord(st)
-}
-
-// persistRecord marshals and writes the v2 record for an already-verified
-// snapshot (a fresh build, or a legacy restore being migrated).
-func (s *Snapshot) persistRecord(st *store.Store) {
 	ast, err := minij.EncodeProgram(s.prog)
 	if err != nil {
 		return

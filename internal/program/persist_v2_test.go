@@ -1,15 +1,14 @@
 package program
 
 // Tests for the snap.v2 parse-free restore path: the decoded/deep-verified
-// split, the sampling knob, legacy v1 compatibility with migration, and
+// split, the sampling knob, old snap.v1 records reading as misses, and
 // the corruption story (a damaged record is always a miss, never a wrong
 // snapshot).
 
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -18,16 +17,6 @@ import (
 	"lisa/internal/minij"
 	"lisa/internal/store"
 )
-
-func openStoreDir(t *testing.T, dir string) (*store.Store, error) {
-	t.Helper()
-	st, err := store.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	t.Cleanup(func() { st.Close() })
-	return st, nil
-}
 
 // TestRestoreDecodedSkipsParse: with deep verification pushed out of
 // sampling range, a cold cache restores purely by decode + digest — no
@@ -308,52 +297,70 @@ func TestRecordEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacyV1StoreFixture opens a committed PR-7-era store directory (one
-// snap.v1 record, no binary AST): the snapshot must restore through the
-// legacy re-parse path with zero compiles, and the restore must migrate
-// the record to snap.v2 so the next cold process decodes instead.
-func TestLegacyV1StoreFixture(t *testing.T) {
-	dir := t.TempDir()
-	log, err := os.ReadFile(filepath.Join("testdata", "v1store", "store.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "store.log"), log, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := openStoreDir(t, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+// FuzzDecodeRecord: the snapshot-record decoder reads bytes from the
+// on-disk store, so any input must decode or be rejected without a panic,
+// and every accepted record must survive an encode/decode round trip
+// unchanged. Seeds (testdata/fuzz/FuzzDecodeRecord) are the encoded record
+// of a corpus head with its call-graph summary, an empty record, and a
+// truncated copy.
+func FuzzDecodeRecord(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		rec, ok := decodeRecord(raw)
+		if !ok {
+			return
+		}
+		again, ok := decodeRecord(encodeRecord(rec))
+		if !ok {
+			t.Fatal("re-encoded record does not decode")
+		}
+		if !reflect.DeepEqual(again, rec) {
+			t.Fatalf("round trip changed the record:\n%+v\n%+v", rec, again)
+		}
+	})
+}
 
-	legacy := NewCache(8)
-	legacy.SetStore(st)
-	snap, err := legacy.Load(testSource)
+// writeV1Store returns a store holding only an old-format snap.v1 record
+// (the JSON canon, no binary AST) for source, and that canon.
+func writeV1Store(t *testing.T, source string) (*store.Store, string) {
+	t.Helper()
+	st := openStoreT(t)
+	prog, err := minij.Parse(source)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := legacy.Stats()
-	if stats.Compiles != 0 || stats.Restores != 1 || stats.RestoresDeepVerified != 1 {
-		t.Fatalf("stats = %+v, want one deep-verified legacy restore", stats)
+	canon := minij.FormatProgram(prog)
+	v1, err := json.Marshal(map[string]string{"canon": canon})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := snap.Verify(); err != nil {
-		t.Fatalf("legacy snapshot fails Verify: %v", err)
+	st.Put("snap.v1", Hash(source), v1)
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	if snap.Graph() == nil {
-		t.Fatal("legacy snapshot lost its graph summary")
+	return st, canon
+}
+
+// TestLegacyV1StoreFixture: a store holding only a snap.v1 record for a
+// source is a plain miss — the load compiles once, persists a snap.v2
+// record, and the next cold cache restores that record by decode.
+func TestLegacyV1StoreFixture(t *testing.T) {
+	st, _ := writeV1Store(t, testSource)
+
+	first := NewCache(8)
+	first.SetStore(st)
+	if _, err := first.Load(testSource); err != nil {
+		t.Fatal(err)
 	}
-	if g := legacy.Stats(); g.GraphBuilds != 0 || g.GraphRestores != 1 {
-		t.Fatalf("graph stats = %+v, want the summary re-anchored", g)
+	if s, ts := first.Stats(), first.TierStats(); s.Compiles != 1 || s.Restores != 0 || ts.DiskMisses != 1 {
+		t.Fatalf("stats = %+v, tiers = %+v, want one compile and one disk miss", s, ts)
 	}
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Migration happened: a v2 record now exists, and a second cold
-	// process restores parse-free.
 	if _, ok := st.Get(snapNamespace, Hash(testSource)); !ok {
-		t.Fatal("legacy restore did not migrate the record to snap.v2")
+		t.Fatal("the compile did not persist a snap.v2 record")
 	}
+
 	cold := NewCache(8)
 	cold.SetStore(st)
 	cold.SetDeepVerifyEvery(1 << 30)
@@ -361,51 +368,44 @@ func TestLegacyV1StoreFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s := cold.Stats(); s.Compiles != 0 || s.RestoresDecoded != 1 {
-		t.Fatalf("post-migration stats = %+v, want a decoded restore", s)
+		t.Fatalf("second cold stats = %+v, want a decoded restore", s)
 	}
 }
 
-// TestMigratedRecordMatchesFreshPersist: the record a legacy restore
-// migrates must decode to the same canon a fresh build would persist.
+// TestMigratedRecordMatchesFreshPersist: the snap.v2 record written after
+// a snap.v1 miss is byte-identical to the one a load persists into an
+// empty store, and it decodes to the canon the v1 record held.
 func TestMigratedRecordMatchesFreshPersist(t *testing.T) {
-	st := openStoreT(t)
-
-	// Write a v1-only store the way PR 7 did.
-	prog, err := minij.Parse(testSource)
-	if err != nil {
-		t.Fatal(err)
+	persisted := func(st *store.Store) []byte {
+		t.Helper()
+		c := NewCache(8)
+		c.SetStore(st)
+		if _, err := c.Load(testSource); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		raw, ok := st.Get(snapNamespace, Hash(testSource))
+		if !ok {
+			t.Fatal("the load did not persist a snap.v2 record")
+		}
+		return raw
 	}
-	if err := minij.Check(prog); err != nil {
-		t.Fatal(err)
+	legacy, canon := writeV1Store(t, testSource)
+	after := persisted(legacy)
+	if fresh := persisted(openStoreT(t)); string(after) != string(fresh) {
+		t.Fatal("the record written over a snap.v1 store differs from a fresh persist")
 	}
-	rec := snapRecordV1{Canon: minij.FormatProgram(prog)}
-	raw, _ := json.Marshal(&rec)
-	st.Put(snapLegacyNamespace, Hash(testSource), raw)
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	legacy := NewCache(8)
-	legacy.SetStore(st)
-	if _, err := legacy.Load(testSource); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	v2raw, ok := st.Get(snapNamespace, Hash(testSource))
+	rec, ok := decodeRecord(after)
 	if !ok {
-		t.Fatal("no migrated v2 record")
+		t.Fatal("the written record does not decode")
 	}
-	v2, ok := decodeRecord(v2raw)
-	if !ok {
-		t.Fatal("migrated record does not decode")
-	}
-	dec, err := minij.DecodeProgram(v2.AST)
+	dec, err := minij.DecodeProgram(rec.AST)
 	if err != nil {
-		t.Fatalf("migrated AST does not decode: %v", err)
+		t.Fatalf("the written AST does not decode: %v", err)
 	}
-	if minij.FormatProgram(dec) != rec.Canon || v2.CanonSHA != Hash(rec.Canon) {
-		t.Fatal("migrated record disagrees with the v1 canon")
+	if minij.FormatProgram(dec) != canon || rec.CanonSHA != Hash(canon) {
+		t.Fatal("the written record disagrees with the v1 canon")
 	}
 }

@@ -300,8 +300,7 @@ type Cache struct {
 	// disk is the optional on-disk tier (SetStore); the counters split
 	// restores (verified disk hits) from full compiles, and restores
 	// further by path: decoded (binary AST + digest check) vs deep
-	// verified (re-parse + re-render comparison — the sampled slow path,
-	// and every legacy v1 restore).
+	// verified (re-parse + re-render comparison — the sampled slow path).
 	disk             atomic.Pointer[store.Store]
 	restores         atomic.Uint64
 	restoresDecoded  atomic.Uint64
@@ -319,7 +318,7 @@ type Cache struct {
 // DefaultDeepVerifyEvery is the default deep-verification sampling
 // interval: one restore in every N re-runs the full parse + re-render
 // comparison against the stored canon, so systematic store corruption is
-// still caught process-locally without paying the legacy per-restore
+// still caught process-locally without paying the pre-v2 per-restore
 // re-parse tax. faultinject-armed runs deep-verify every restore
 // regardless of the knob.
 const DefaultDeepVerifyEvery = 16
@@ -414,7 +413,7 @@ type CacheStats struct {
 	// compiled; RestoresDecoded of those came through the parse-free
 	// binary-AST path (canon digest + codec checksum), while
 	// RestoresDeepVerified re-derived everything from source and compared
-	// (the sampled deep-verify path, plus every legacy v1 restore).
+	// (the sampled deep-verify path).
 	// GraphRestores counts call graphs re-anchored from a persisted
 	// summary instead of rebuilt. All stay zero without a store.
 	Restores             uint64

@@ -5,8 +5,10 @@ import (
 	"path/filepath"
 	"testing"
 
+	"lisa/internal/core"
 	"lisa/internal/faultinject"
 	"lisa/internal/store"
+	"lisa/internal/ticket"
 )
 
 func openStoreT(t *testing.T) *store.Store {
@@ -33,57 +35,90 @@ func storeLogBytes(t *testing.T, st *store.Store) []byte {
 
 // TestColdSchedulerOnWarmStore: a fresh scheduler (empty memory tier) over a
 // store warmed by a previous scheduler serves every job from the disk tier —
-// zero executed jobs — and renders a byte-identical report.
+// zero executed jobs — and renders byte-identically to the sequential
+// engine, at every pool width, on the one-rule fixture and on a six-contract
+// system. So does a further cold scheduler over the same store.
 func TestColdSchedulerOnWarmStore(t *testing.T) {
-	e := engineWithRule(t)
-	base, _, err := New().Assert(e, sysFixed, testSuite(), Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	rule := engineWithRule(t)
+	replicas, replicaSrc, replicaTests := topoWorkload(t, 6)
+	cases := []struct {
+		name     string
+		mkEngine func() *core.Engine
+		src      string
+		tests    []ticket.TestCase
+		workers  int
+	}{
+		{"rule,workers=4", func() *core.Engine { return rule }, sysFixed, testSuite(), 4},
+		{"six-contracts,workers=1", replicas, replicaSrc, replicaTests, 1},
+		{"six-contracts,workers=8", replicas, replicaSrc, replicaTests, 8},
 	}
-	want := base.Render()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			seq, err := tc.mkEngine().Assert(tc.src, tc.tests)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := seq.Render()
+			opts := Options{Workers: tc.workers}
 
-	st := openStoreT(t)
-	warm := New()
-	warm.Cache().SetStore(st)
-	warmRep, _, err := warm.Assert(e, sysFixed, testSuite(), Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := warmRep.Render(); got != want {
-		t.Fatalf("store-attached run differs from store-less run:\n--- want ---\n%s\n--- got ---\n%s", want, got)
-	}
-	if ts := warm.Cache().TierStats(); ts.DiskWrites == 0 {
-		t.Fatalf("warm run wrote nothing to the store: %+v", ts)
-	}
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
+			st := openStoreT(t)
+			warm := New()
+			warm.Cache().SetStore(st)
+			warmRep, _, err := warm.Assert(tc.mkEngine(), tc.src, tc.tests, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := warmRep.Render(); got != want {
+				t.Fatalf("store-attached run differs from sequential:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+			}
+			if ts := warm.Cache().TierStats(); ts.DiskWrites == 0 {
+				t.Fatalf("warm run wrote nothing to the store: %+v", ts)
+			}
+			if err := st.Flush(); err != nil {
+				t.Fatal(err)
+			}
 
-	cold := New()
-	cold.Cache().SetStore(st)
-	rep, stats, err := cold.Assert(e, sysFixed, testSuite(), Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Render(); got != want {
-		t.Fatalf("cold-on-warm-store report differs:\n--- want ---\n%s\n--- got ---\n%s", want, got)
-	}
-	if stats.Executed != 0 || stats.CacheHits != stats.Jobs {
-		t.Fatalf("cold-on-warm-store executed=%d hits=%d jobs=%d, want all disk hits",
-			stats.Executed, stats.CacheHits, stats.Jobs)
-	}
-	cs := cold.Cache().Stats()
-	if cs.DiskHits == 0 || cs.DiskWrites != 0 {
-		t.Fatalf("cold cache stats = %+v, want disk hits and no re-writes", cs)
-	}
-	// Promotion: a repeat run on the same scheduler stays in memory.
-	if _, stats2, err := cold.Assert(e, sysFixed, testSuite(), Options{Workers: 4}); err != nil {
-		t.Fatal(err)
-	} else if stats2.Executed != 0 {
-		t.Fatalf("promoted re-run executed %d jobs", stats2.Executed)
-	}
-	if cs2 := cold.Cache().Stats(); cs2.DiskHits != cs.DiskHits {
-		t.Fatalf("promoted re-run went back to disk: %+v -> %+v", cs, cs2)
+			cold := New()
+			cold.Cache().SetStore(st)
+			rep, stats, err := cold.Assert(tc.mkEngine(), tc.src, tc.tests, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rep.Render(); got != want {
+				t.Fatalf("cold-on-warm-store report differs:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+			}
+			if stats.Executed != 0 || stats.CacheHits != stats.Jobs {
+				t.Fatalf("cold-on-warm-store executed=%d hits=%d jobs=%d, want all disk hits",
+					stats.Executed, stats.CacheHits, stats.Jobs)
+			}
+			cs := cold.Cache().Stats()
+			if cs.DiskHits == 0 || cs.DiskWrites != 0 {
+				t.Fatalf("cold cache stats = %+v, want disk hits and no re-writes", cs)
+			}
+			// Promotion: a repeat run on the same scheduler stays in memory.
+			if _, stats2, err := cold.Assert(tc.mkEngine(), tc.src, tc.tests, opts); err != nil {
+				t.Fatal(err)
+			} else if stats2.Executed != 0 {
+				t.Fatalf("promoted re-run executed %d jobs", stats2.Executed)
+			}
+			if cs2 := cold.Cache().Stats(); cs2.DiskHits != cs.DiskHits {
+				t.Fatalf("promoted re-run went back to disk: %+v -> %+v", cs, cs2)
+			}
+
+			// Warm repeat: another cold scheduler over the same store.
+			again := New()
+			again.Cache().SetStore(st)
+			rep3, stats3, err := again.Assert(tc.mkEngine(), tc.src, tc.tests, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep3.Render() != want {
+				t.Error("warm repeat differs from sequential")
+			}
+			if stats3.Executed != 0 {
+				t.Errorf("warm repeat executed %d jobs, want 0", stats3.Executed)
+			}
+		})
 	}
 }
 
